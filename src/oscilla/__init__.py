@@ -18,7 +18,9 @@ from .errors import (
     PoleProximityError,
 )
 from .density import Density, ShapeReport, make_density, reflect, parse_density
-from .transform import TransformKind, EvalResult, evaluate, closed_form, default_tol
+from .transform import (
+    TransformKind, EvalResult, evaluate, evaluate_many, closed_form, default_tol,
+)
 from .hypergeom import HypSpec, hyp_pfq, beta_series
 from .partial_fractions import (
     LatticeCoefficients, sample_lattice, pf_partial_sum,
@@ -43,7 +45,8 @@ __all__ = [
     "ConsistencyError", "SeriesRegimeError", "SeriesCancellationError",
     "PoleProximityError",
     "Density", "ShapeReport", "make_density", "reflect", "parse_density",
-    "TransformKind", "EvalResult", "evaluate", "closed_form", "default_tol",
+    "TransformKind", "EvalResult", "evaluate", "evaluate_many", "closed_form",
+    "default_tol",
     "HypSpec", "hyp_pfq", "beta_series",
     "LatticeCoefficients", "sample_lattice", "pf_partial_sum",
     "wronskian_series", "wronskian_direct",

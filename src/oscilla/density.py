@@ -102,9 +102,10 @@ def _reflect_shape(s: ShapeReport) -> ShapeReport:
 class Density:
     """A positive integrable weight on (0, 1).
 
-    evaluate2(t, one_minus_t) takes numpy arrays with both the point and its
+    _eval2(t, one_minus_t) takes numpy arrays with both the point and its
     exact distance from 1, so weights singular at either endpoint can be
-    sampled without forming 1 - t in floating point. singular_at_0/1 flag
+    sampled without forming 1 - t in floating point; calling the density
+    itself on an array of t forms 1 - t and goes through it. singular_at_0/1 flag
     endpoints where f fails to extend analytically (integrable blow-ups and
     fractional-power vanishing alike); the quadrature engine switches to a
     double-exponential rule on panels touching a flagged endpoint.
@@ -121,9 +122,6 @@ class Density:
     _moment0: float | None = None
     _moment1: float | None = None
     _reflected_from: "Density | None" = None
-
-    def evaluate2(self, t: np.ndarray, one_minus_t: np.ndarray) -> np.ndarray:
-        return self._eval2(t, one_minus_t)
 
     def __call__(self, t):
         arr = np.atleast_1d(np.asarray(t, dtype=float))

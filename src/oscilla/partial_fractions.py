@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import ParameterError, PoleProximityError
 from .quadrature import CompensatedSum
-from .transform import evaluate, resolve_tol
+from .transform import evaluate, evaluate_many, resolve_tol
 
 _PI = math.pi
 _POLE_GUARD = 1e-8
@@ -56,7 +56,7 @@ class LatticeCoefficients:
 def sample_lattice(density, expansion: str, n_terms: int,
                    tol: float | None = None) -> LatticeCoefficients:
     """Evaluate the transform at the first n_terms lattice points of the
-    chosen expansion."""
+    chosen expansion, all in one batched quadrature pass."""
     if expansion not in _EXPANSIONS:
         raise ParameterError(f"unknown expansion {expansion!r}; pick from {_EXPANSIONS}")
     if not isinstance(n_terms, int) or n_terms < 1:
@@ -74,7 +74,7 @@ def sample_lattice(density, expansion: str, n_terms: int,
         lattice = tuple(k * _PI for k in range(1, n_terms + 1))
         kind = "sine"
         c0 = density.moment1
-    coeffs = tuple(float(evaluate(density, kind, a, tol)) for a in lattice)
+    coeffs = tuple(evaluate_many(density, kind, lattice, tol)[0].tolist())
     return LatticeCoefficients(expansion=expansion, c0=float(c0),
                                coefficients=coeffs, lattice=lattice,
                                density_label=density.label)

@@ -1,17 +1,24 @@
 """Oscillation-aware quadrature for integrals f(t)*cos(xt) or f(t)*sin(xt) on [0, 1].
 
-Internal engine, not part of the public API. The strategy:
+Internal engine, not part of the public API. It integrates for a whole
+vector of abscissas xs at once, on one node set built from x_max = max(xs):
 
-  * split [0, 1] at the kernel's half-period lattice t = j*pi/x (the extrema
-    of cos/sin), plus any declared interior breakpoints of the weight;
+  * split [0, 1] at the half-period lattice t = j*pi/x_max of the fastest
+    kernel (the extrema of cos/sin), plus any declared interior
+    breakpoints of the weight;
   * on smooth interior panels apply a fixed Gauss-Kronrod (7, 15) pair, with
-    the |K15 - G7| difference as the panel error estimate;
+    the |K15 - G7| difference as each x's panel error estimate; a panel is
+    split while that difference exceeds the panel tolerance for any x;
   * on panels touching an endpoint where the weight is singular or merely
     non-smooth, use a tanh-sinh (double exponential) rule whose nodes are
     stored as exact distances from the endpoint, so algebraic endpoint
     singularities like t**(-0.9) are sampled without catastrophic rounding;
-  * accumulate panel sums with Neumaier compensation.
+    each x keeps the first level that agrees with the previous one;
+  * evaluate the weight once per node and form the kernel values
+    cos/sin(xs (x) t) as a matrix, blocked along xs so that no block holds
+    more than _BLOCK elements; panel sums are matrix products.
 
+A single x is the one-point case of the same engine (oscillatory_integral).
 Weights are evaluated through a two-argument callable w2(t, one_minus_t) so
 densities singular at t=1 see the exact distance to that endpoint instead of
 the rounded 1-t.
@@ -24,6 +31,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import QuadratureError
+
+# largest kernel matrix formed at once, in elements (256 KiB of float64):
+# larger blocks ran no faster and raised the peak resident memory
+_BLOCK = 1 << 15
 
 # ---------------------------------------------------------------------------
 # compensated accumulation
@@ -51,13 +62,6 @@ class CompensatedSum:
     @property
     def total(self) -> float:
         return self.s + self.c
-
-
-def neumaier_sum(values) -> float:
-    acc = CompensatedSum()
-    for v in values:
-        acc.add(float(v))
-    return acc.total
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +111,8 @@ def _build_gk() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 _GK_NODES, _GK_WK, _GK_WG = _build_gk()
+# K15 and G7 weights as the columns of one matrix
+_GK_WKG = np.stack([_GK_WK, _GK_WG], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -146,49 +152,67 @@ def _de_table(level: int) -> tuple[np.ndarray, np.ndarray, float]:
     return np.array(dist), np.array(wts), w0
 
 
-def _de_panel(w2, kernel, x: float, a: float, b: float, panel_tol: float):
-    """tanh-sinh integration of w(t)*kernel(x t) over [a, b].
+def _kernel_blocks(kernel, xs: np.ndarray, t: np.ndarray):
+    """Yield (rows, kernel(xs[rows] (x) t)) over row blocks of xs, each
+    matrix holding at most _BLOCK elements (one row at least). The kernel
+    is applied in place and the caller owns the matrix, so one block is
+    all the working memory a pass needs."""
+    step = max(1, _BLOCK // t.size)
+    for i in range(0, xs.size, step):
+        rows = slice(i, i + step)
+        k = np.multiply.outer(xs[rows], t)
+        yield rows, kernel(k, out=k)
+
+
+def _de_panel(w2, kernel, xs: np.ndarray, a: float, b: float,
+              panel_tol: float):
+    """tanh-sinh integration of w(t)*kernel(x t) over [a, b] for every x.
 
     Node t-values near each end are formed from exact distances so endpoint
     singularities of w are sampled correctly. Levels are refined (reusing all
-    previous nodes) until two successive estimates agree within panel_tol.
-    Returns (value, error_estimate).
+    previous nodes) until, for each x, two successive estimates agree within
+    panel_tol; x that have converged drop out of the deeper levels.
+    Returns arrays (values, error_estimates).
     """
     width = b - a
     one_minus_b = 1.0 - b
 
-    def level_sums(level: int, odd_only: bool) -> float:
+    def level_sums(level: int, odd_only: bool, xs: np.ndarray) -> np.ndarray:
         dist, wts, w0 = _de_table(level)
         if odd_only:
             dist = dist[::2]  # odd j of this level = new nodes vs level-1
             wts = wts[::2]
         d = width * dist
-        # left-end nodes: t = a + d ; right-end nodes: t = b - d
-        tl = a + d
-        tr = b - d
-        om_l = one_minus_b + (width - d)   # 1 - tl, formed stably
-        om_r = one_minus_b + d             # 1 - tr, exact when b == 1
-        fl = w2(tl, om_l) * kernel(x * tl)
-        fr = w2(tr, om_r) * kernel(x * tr)
-        s = float(np.dot(wts, fl) + np.dot(wts, fr))
+        # left-end nodes t = a + d, right-end nodes t = b - d, with 1 - t
+        # formed stably (exact for the right end when b == 1)
+        t = [a + d, b - d]
+        omt = [one_minus_b + (width - d), one_minus_b + d]
+        wt = [wts, wts]
         if not odd_only:
             tc = a + 0.5 * width
-            s += w0 * float(w2(np.array([tc]), np.array([1.0 - tc]))[0]
-                            * kernel(x * tc))
-        return s
+            t.append([tc])
+            omt.append([1.0 - tc])
+            wt.append([w0])
+        t = np.concatenate(t)
+        fw = w2(t, np.concatenate(omt)) * np.concatenate(wt)
+        out = np.empty(xs.size)
+        for rows, k in _kernel_blocks(kernel, xs, t):
+            out[rows] = k @ fw
+        return out
 
     # level 2 from scratch; each deeper level adds the odd-index nodes and
     # halves the previously accumulated weighted sum
-    prev = width * level_sums(2, odd_only=False)
-    est = abs(prev)
+    val = width * level_sums(2, False, xs)
+    est = np.abs(val)
+    todo = np.arange(xs.size)
     for level in (3, 4, 5, 6):
-        add = level_sums(level, odd_only=True)
-        cur = 0.5 * prev + width * add
-        est = abs(cur - prev)
-        prev = cur
-        if est <= panel_tol:
+        cur = 0.5 * val[todo] + width * level_sums(level, True, xs[todo])
+        est[todo] = np.abs(cur - val[todo])
+        val[todo] = cur
+        todo = todo[est[todo] > panel_tol]
+        if not todo.size:
             break
-    return prev, max(est * 0.5, 1e-17 * abs(prev))
+    return val, np.maximum(0.5 * est, 1e-17 * np.abs(val))
 
 
 # ---------------------------------------------------------------------------
@@ -196,40 +220,50 @@ def _de_panel(w2, kernel, x: float, a: float, b: float, panel_tol: float):
 # ---------------------------------------------------------------------------
 
 
-def _gk_batch(w2, kernel, x: float, lows: np.ndarray, highs: np.ndarray):
-    """Vectorized G7/K15 over many panels at once. Returns (values, errors)."""
+def _gk_batch(w2, kernel, xs: np.ndarray, lows: np.ndarray,
+              highs: np.ndarray):
+    """G7/K15 over many panels and every x at once. Returns (values,
+    errors), each of shape (len(xs), len(lows))."""
     n = lows.size
     half = 0.5 * (highs - lows)
     mid = 0.5 * (highs + lows)
     # nodes laid out as an (n, 15) grid flattened once
     t = (mid[:, None] + half[:, None] * _GK_NODES[None, :]).reshape(-1)
-    f = w2(t, 1.0 - t) * kernel(x * t)
-    f = f.reshape(n, 15)
-    k15 = f @ _GK_WK
-    g7 = f @ _GK_WG
-    vals = half * k15
-    errs = np.abs(half * (k15 - g7))
+    w = w2(t, 1.0 - t)
+    vals = np.empty((xs.size, n))
+    errs = np.empty((xs.size, n))
+    for rows, k in _kernel_blocks(kernel, xs, t):
+        k *= w
+        kg = k.reshape(-1, 15) @ _GK_WKG
+        k15 = kg[:, 0].reshape(-1, n)
+        g7 = kg[:, 1].reshape(-1, n)
+        vals[rows] = half * k15
+        errs[rows] = np.abs(half * (k15 - g7))
     return vals, errs
 
 
-def oscillatory_integral(w2, x: float, kernel: str, *,
-                         singular_at_0: bool = False,
-                         singular_at_1: bool = False,
-                         breakpoints: tuple[float, ...] = (),
-                         tol: float = 1e-10) -> tuple[float, float]:
-    """Integrate w(t)*cos(xt) or w(t)*sin(xt) over [0, 1].
+def oscillatory_integrals(w2, xs, kernel: str, *,
+                          singular_at_0: bool = False,
+                          singular_at_1: bool = False,
+                          breakpoints: tuple[float, ...] = (),
+                          tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate w(t)*cos(xt) or w(t)*sin(xt) over [0, 1] for every x in xs.
 
+    xs is a non-empty sequence of finite x >= 0; callers validate it.
     w2(t_array, one_minus_t_array) must accept numpy arrays of interior
-    points and return the weight values. Returns (value, error_estimate);
-    raises QuadratureError if the estimate cannot be brought under tol
-    within the refinement budget.
+    points and return the weight values; it is called once per node, for
+    all x together. Returns arrays (values, error_estimates) aligned with
+    xs; raises QuadratureError if any x's estimate cannot be brought under
+    tol within the refinement budget.
     """
     ker = np.cos if kernel == "cos" else np.sin
+    xs = np.asarray(xs, dtype=float).reshape(-1)
+    x_max = float(xs.max())
 
     lattice = []
-    if x > math.pi:
-        half = math.pi / x
-        jmax = int(x / math.pi)
+    if x_max > math.pi:
+        half = math.pi / x_max
+        jmax = int(x_max / math.pi)
         lattice = [j * half for j in range(1, jmax + 1)
                    if 1e-12 < j * half < 1.0 - 1e-12]
         # a sliver of a panel against a singular endpoint would leave the
@@ -245,8 +279,8 @@ def oscillatory_integral(w2, x: float, kernel: str, *,
             cuts.add(float(bp))
     edges = sorted(cuts)
 
-    total = CompensatedSum()
-    err_total = 0.0
+    values = np.zeros(xs.size)
+    errors = np.zeros(xs.size)
     n_panels = len(edges) - 1
     # per-panel tolerance target; end panels get the larger share since the
     # tanh-sinh estimate is the one that actually adapts
@@ -258,42 +292,62 @@ def oscillatory_integral(w2, x: float, kernel: str, *,
         a, b = edges[i], edges[i + 1]
         de = (i == 0 and singular_at_0) or (i == n_panels - 1 and singular_at_1)
         if de:
-            v, e = _de_panel(w2, ker, x, a, b, panel_tol)
-            total.add(v)
-            err_total += e
+            v, e = _de_panel(w2, ker, xs, a, b, panel_tol)
+            values += v
+            errors += e
         else:
             gk_lo.append(a)
             gk_hi.append(b)
 
-    if gk_lo:
-        lows = np.array(gk_lo)
-        highs = np.array(gk_hi)
-        vals, errs = _gk_batch(w2, ker, x, lows, highs)
-        # refine the worst panels by splitting; grading toward a steep end
-        # takes one round per halving, so allow a decent number
-        for _ in range(12):
-            bad = errs > panel_tol
-            if not bad.any() or lows.size > 512:
-                break
-            keep_v = vals[~bad]
-            keep_e = errs[~bad]
-            lo_b, hi_b = lows[bad], highs[bad]
-            mid_b = 0.5 * (lo_b + hi_b)
-            lows = np.concatenate([lows[~bad], lo_b, mid_b])
-            highs = np.concatenate([highs[~bad], mid_b, hi_b])
-            v2, e2 = _gk_batch(w2, ker, x, lows[keep_v.size:], highs[keep_v.size:])
-            vals = np.concatenate([keep_v, v2])
-            errs = np.concatenate([keep_e, e2])
-        for v in vals:
-            total.add(float(v))
-        err_total += float(errs.sum())
+    # GK panels, refined by splitting those that are worst for any x;
+    # grading toward a steep end takes one round per halving, so allow a
+    # decent number. A panel leaves the loop, its column summed into every
+    # x's total, once it is accepted.
+    lows = np.array(gk_lo)
+    highs = np.array(gk_hi)
+    n_done = 0
+    for rnd in range(13):
+        if not lows.size:
+            break
+        vals, errs = _gk_batch(w2, ker, xs, lows, highs)
+        bad = (errs > panel_tol).any(axis=0)
+        if rnd == 12 or n_done + lows.size > 512:
+            bad[:] = False
+        done = ~bad
+        values += vals[:, done].sum(axis=1)
+        errors += errs[:, done].sum(axis=1)
+        n_done += int(done.sum())
+        mid = 0.5 * (lows[bad] + highs[bad])
+        lows, highs = (np.concatenate([lows[bad], mid]),
+                       np.concatenate([mid, highs[bad]]))
 
-    value = total.total
-    if err_total > max(tol, 1e-15 * (1.0 + abs(value))) * 10.0:
+    bound = np.maximum(tol, 1e-15 * (1.0 + np.abs(values))) * 10.0
+    bad_x = np.flatnonzero(errors > bound)
+    if bad_x.size:
+        i = bad_x[0]
         raise QuadratureError(
-            f"quadrature error estimate {err_total:.3e} exceeds tolerance {tol:.3e}",
-            value=value, error_estimate=err_total)
-    return value, err_total
+            f"quadrature error estimate {errors[i]:.3e} exceeds tolerance "
+            f"{tol:.3e} at x={xs[i]:.17g}",
+            value=float(values[i]), error_estimate=float(errors[i]))
+    return values, errors
+
+
+def oscillatory_integral(w2, x: float, kernel: str, *,
+                         singular_at_0: bool = False,
+                         singular_at_1: bool = False,
+                         breakpoints: tuple[float, ...] = (),
+                         tol: float = 1e-10) -> tuple[float, float]:
+    """Integrate w(t)*cos(xt) or w(t)*sin(xt) over [0, 1] at one x.
+
+    The one-point case of oscillatory_integrals. Returns (value,
+    error_estimate) as floats; raises QuadratureError if the estimate
+    cannot be brought under tol within the refinement budget.
+    """
+    v, e = oscillatory_integrals(w2, [float(x)], kernel,
+                                 singular_at_0=singular_at_0,
+                                 singular_at_1=singular_at_1,
+                                 breakpoints=breakpoints, tol=tol)
+    return float(v[0]), float(e[0])
 
 
 def plain_integral(w2, *, singular_at_0: bool = False,

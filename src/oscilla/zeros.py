@@ -14,6 +14,14 @@ module turns a prediction into a deterministic numerical verdict:
   * grazing near-tangencies (small |F| without a sign change) make the
     verdict indeterminate rather than a pass or a fail.
 
+verify_pattern works in three steps. It plans every abscissa it needs
+(interval grids, exact points, the positivity grid, gap grids and the
+sign-change grid), evaluates all of them with one evaluate_many call, and
+then refines the sign changes of every scan in lockstep: each
+bisection/secant step of all brackets is one more batched call, and the
+simplicity probes around all roots are one more. The verdicts then read
+the point cache.
+
 Grids, refinement steps and thresholds are all deterministic functions of
 the prediction and tolerance, so repeated runs agree bit for bit.
 """
@@ -25,7 +33,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import OscillaError, ParameterError
-from .transform import evaluate, resolve_tol
+from .transform import evaluate_many, resolve_tol
+# evaluate is no longer called here (every transform value comes from
+# evaluate_many); it stays importable as zeros.evaluate because the
+# benchmark's tracer (perfbench/tracing.py) rebinds that name
+from .transform import evaluate  # noqa: F401
 
 _PI = math.pi
 _SHRINK = 1e-9          # open intervals are closed in by this much per side
@@ -156,9 +168,6 @@ class Prediction:
     no_common_zeros: bool = False
     provenance: str = ""
 
-    def with_k_max(self, k_max: int) -> "Prediction":
-        return replace(self, k_max=k_max)
-
     def horizon(self) -> float:
         return (self.k_max + 1) * _PI
 
@@ -187,7 +196,6 @@ class VerificationReport:
     horizon: float
     n_evaluations: int
     scale: float
-    notes: tuple[str, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -196,80 +204,121 @@ class VerificationReport:
 
 
 class _CachedF:
-    """Point cache around evaluate(); scans and gap scans share abscissas."""
+    """Point cache around a batched function many(list_of_x) -> values.
 
-    def __init__(self, density, kind, tol):
-        self.density = density
-        self.kind = kind
-        self.tol = tol
+    values(xs) computes every abscissa not seen before with one call of
+    many, in ascending order; scans, gap scans, root refinement and the
+    simplicity probes share abscissas through it."""
+
+    def __init__(self, many):
+        self.many = many
         self.cache: dict[float, float] = {}
 
+    def values(self, xs) -> list[float]:
+        missing = sorted(set(xs).difference(self.cache))
+        if missing:
+            self.cache.update(zip(missing, self.many(missing)))
+        return [self.cache[x] for x in xs]
+
     def __call__(self, x: float) -> float:
-        v = self.cache.get(x)
-        if v is None:
-            v = float(evaluate(self.density, self.kind, x, self.tol))
-            self.cache[x] = v
-        return v
+        return self.values([x])[0]
 
     @property
     def n_evaluations(self) -> int:
         return len(self.cache)
 
 
-def _grid(lo: float, hi: float, per_pi: int) -> np.ndarray:
-    n = max(9, int(math.ceil((hi - lo) / _PI * per_pi)) + 1)
-    return np.linspace(lo, hi, n)
+def _n_points(length: float, per_pi: int) -> int:
+    return max(9, int(math.ceil(length / _PI * per_pi)) + 1)
 
 
-def _refine_root(F, a, b, fa, fb, width_tol=None):
-    """Bisection with a guarded secant step; deterministic."""
+def _grid(lo: float, hi: float, per_pi: int) -> list[float]:
+    return [float(x) for x in np.linspace(lo, hi, _n_points(hi - lo, per_pi))]
+
+
+def _refine_roots(values, brackets, width_tol=None):
+    """Bisection with a guarded secant step; deterministic.
+
+    brackets holds (a, b, F(a), F(b)) with a sign change. All brackets are
+    refined in lockstep: each step takes the next point of every unfinished
+    bracket and evaluates them with one values(list) call. Returns
+    (lo, hi, root) per bracket."""
+    state = [list(br) for br in brackets]
+    done: list[tuple | None] = [None] * len(state)
+    active = list(range(len(state)))
     for _ in range(120):
-        goal = width_tol if width_tol is not None else 1e-13 * (1.0 + abs(b))
-        if b - a <= max(goal, 4e-16 * (1.0 + abs(b))):
+        step = []
+        for j in active:
+            a, b, fa, fb = state[j]
+            goal = width_tol if width_tol is not None else 1e-13 * (1.0 + abs(b))
+            if b - a <= max(goal, 4e-16 * (1.0 + abs(b))):
+                continue
+            m = 0.5 * (a + b)
+            if fb != fa:
+                s = b - fb * (b - a) / (fb - fa)
+                if a + 0.125 * (b - a) < s < b - 0.125 * (b - a):
+                    m = s
+            step.append((j, m))
+        if not step:
             break
-        m = 0.5 * (a + b)
-        if fb != fa:
-            s = b - fb * (b - a) / (fb - fa)
-            if a + 0.125 * (b - a) < s < b - 0.125 * (b - a):
-                m = s
-        fm = F(m)
-        if fm == 0.0:
-            return m, m, m
-        if (fa < 0.0) == (fm < 0.0):
-            a, fa = m, fm
+        active = []
+        for (j, m), fm in zip(step, values([m for _, m in step])):
+            if fm == 0.0:
+                done[j] = (m, m, m)
+                continue
+            br = state[j]
+            if (br[2] < 0.0) == (fm < 0.0):
+                br[0], br[2] = m, fm
+            else:
+                br[1], br[3] = m, fm
+            active.append(j)
+    return [d if d is not None else (st[0], st[1], 0.5 * (st[0] + st[1]))
+            for d, st in zip(done, state)]
+
+
+def _zeros_from_scans(F, scans, labels, scale, width_tol=None):
+    """Refine every sign change in each scanned grid into ZeroRecords.
+
+    F is a _CachedF; scans are the grids, labels their k labels. Returns one
+    record list per scan. The brackets of all scans are refined together
+    and the simplicity probes of all roots go in one batched call."""
+    found = []       # (scan, bracket index or None, grid point for None)
+    brackets = []
+    for s, xs in enumerate(scans):
+        vs = F.values(xs)
+        for i in range(len(xs) - 1):
+            va, vb = vs[i], vs[i + 1]
+            if va == 0.0:
+                # grid point hit a zero exactly; treat as its own record once
+                if i == 0 or vs[i - 1] != 0.0:
+                    found.append((s, None, xs[i]))
+                continue
+            if va * vb < 0.0:
+                found.append((s, len(brackets), None))
+                brackets.append((xs[i], xs[i + 1], va, vb))
+    refined = _refine_roots(F.values, brackets, width_tol)
+    probes = []
+    for _, j, x0 in found:
+        if j is None:
+            probes += [x0 + _SIMPLE_H, x0 - _SIMPLE_H]
         else:
-            b, fb = m, fm
-    return a, b, 0.5 * (a + b)
-
-
-def _scan_interval(F, lo, hi, per_pi=64):
-    """Evaluate F on the grid; return (xs, vs) as plain lists."""
-    xs = [float(x) for x in _grid(lo, hi, per_pi)]
-    vs = [F(x) for x in xs]
-    return xs, vs
-
-
-def _zeros_from_scan(F, xs, vs, scale, k_label=0, width_tol=None):
-    """Refine every sign change in a scanned grid into a ZeroRecord."""
-    out = []
-    for i in range(len(xs) - 1):
-        va, vb = vs[i], vs[i + 1]
-        if va == 0.0:
-            # grid point hit a zero exactly; treat as its own record once
-            if i == 0 or vs[i - 1] != 0.0:
-                x0 = xs[i]
-                sl = (F(x0 + _SIMPLE_H) - F(x0 - _SIMPLE_H)) / (2.0 * _SIMPLE_H)
-                out.append(ZeroRecord(k_label, x0, x0, x0, 0.0,
-                                      abs(sl) > 1e-6 * scale))
+            root = refined[j][2]
+            probes += [root + _SIMPLE_H, root - _SIMPLE_H, root]
+    F.values(probes)
+    out: list[list[ZeroRecord]] = [[] for _ in scans]
+    for s, j, x0 in found:
+        if j is None:
+            sl = (F(x0 + _SIMPLE_H) - F(x0 - _SIMPLE_H)) / (2.0 * _SIMPLE_H)
+            out[s].append(ZeroRecord(labels[s], x0, x0, x0, 0.0,
+                                     abs(sl) > 1e-6 * scale))
             continue
-        if va * vb < 0.0:
-            a, b, root = _refine_root(F, xs[i], xs[i + 1], va, vb, width_tol)
-            fp = F(root + _SIMPLE_H)
-            fm = F(root - _SIMPLE_H)
-            slope = (fp - fm) / (2.0 * _SIMPLE_H)
-            simple = (fp == 0.0 or fm == 0.0 or (fm < 0.0) != (fp < 0.0)) \
-                and abs(slope) > 1e-6 * scale
-            out.append(ZeroRecord(k_label, a, b, root, abs(F(root)), simple))
+        a, b, root = refined[j]
+        fp = F(root + _SIMPLE_H)
+        fm = F(root - _SIMPLE_H)
+        slope = (fp - fm) / (2.0 * _SIMPLE_H)
+        simple = (fp == 0.0 or fm == 0.0 or (fm < 0.0) != (fp < 0.0)) \
+            and abs(slope) > 1e-6 * scale
+        out[s].append(ZeroRecord(labels[s], a, b, root, abs(F(root)), simple))
     return out
 
 
@@ -286,20 +335,19 @@ def scan_and_refine(F, interval, grid_points: int | None = None,
     if not (lo < hi) or not (math.isfinite(lo) and math.isfinite(hi)):
         raise ParameterError(f"need finite lo < hi, got ({lo!r}, {hi!r})")
     if grid_points is None:
-        grid_points = max(9, int(math.ceil((hi - lo) / _PI * 64)) + 1)
+        grid_points = _n_points(hi - lo, 64)
     if grid_points < 8:
         raise ParameterError("grid_points must be at least 8")
     if not (tol > 0.0):
         raise ParameterError(f"tol must be positive, got {tol!r}")
     xs = [float(x) for x in np.linspace(lo, hi, grid_points)]
-    vs = []
-    for x in xs:
-        v = float(F(x))
+    cached = _CachedF(lambda pts: [float(F(x)) for x in pts])
+    vs = cached.values(xs)
+    for x, v in zip(xs, vs):
         if not math.isfinite(v):
             raise OscillaError(f"function not finite at x={x:.17g}")
-        vs.append(v)
     scale = max(abs(v) for v in vs) or 1.0
-    found = _zeros_from_scan(F, xs, vs, scale, width_tol=tol)
+    found = _zeros_from_scans(cached, [xs], [0], scale, width_tol=tol)[0]
     found.sort(key=lambda z: z.abscissa)
     return tuple(replace(z, k=i + 1) for i, z in enumerate(found))
 
@@ -381,6 +429,38 @@ def _exclusion_intervals(pred: Prediction, horizon: float):
     return merged
 
 
+def _gap_grids(prediction: Prediction, horizon: float, per_pi: int):
+    """(glo, ghi, grid) for every gap of the complement of the predicted
+    intervals that the positivity scan does not already cover."""
+    excl = _exclusion_intervals(prediction, horizon)
+    gaps = []
+    prev = _SHRINK
+    for lo, hi in excl:
+        if lo - prev > 1e-6:
+            gaps.append((prev, lo))
+        prev = max(prev, hi)
+    if horizon - prev > 1e-6:
+        gaps.append((prev, horizon))
+    pos_upper = None
+    if prediction.positivity is not None:
+        pos_upper = (prediction.positivity.upper
+                     if prediction.positivity.upper is not None else horizon)
+    out = []
+    for glo, ghi in gaps:
+        if pos_upper is not None and ghi <= pos_upper + 1e-12:
+            continue  # already covered by the sign scan
+        lo_s, hi_s = glo + _SHRINK, ghi - _SHRINK
+        if glo <= _SHRINK:
+            # transforms with a sine factor vanish at the origin; start
+            # the leading gap one grid spacing in instead of flagging a
+            # spurious graze there
+            lo_s = hi_s / _n_points(hi_s, per_pi)
+        if hi_s <= lo_s:
+            continue
+        out.append((glo, ghi, _grid(lo_s, hi_s, per_pi)))
+    return out
+
+
 def verify_pattern(density, kind, prediction: Prediction,
                    tol: float | None = None, per_pi: int = 64
                    ) -> VerificationReport:
@@ -390,18 +470,22 @@ def verify_pattern(density, kind, prediction: Prediction,
     (the latter when a grazing minimum below the noise floor prevents an
     honest yes/no at this tolerance). per_pi sets the scan density; the
     verdict should be stable under doubling it.
+
+    The work runs in three steps: plan every grid the verdict reads, fill
+    the point cache with one evaluate_many call, then refine the sign
+    changes of all interval and gap scans in lockstep. n_evaluations counts
+    the distinct abscissas evaluated.
     """
     from .transform import coerce_kind, TransformKind
     tol = resolve_tol(tol)
     kind = coerce_kind(kind)
     if per_pi < 8:
         raise ParameterError("per_pi must be at least 8")
-    F = _CachedF(density, kind, tol)
+    F = _CachedF(lambda xs: evaluate_many(density, kind, xs, tol)[0].tolist())
     horizon = prediction.horizon()
     violations: list[dict] = []
     indet: list[dict] = []
     records: list[ZeroRecord] = []
-    notes: list[str] = []
 
     # |F| is bounded by the relevant moment of the density; use that as the
     # magnitude scale for the noise floor and slope thresholds
@@ -411,79 +495,105 @@ def verify_pattern(density, kind, prediction: Prediction,
         scale = abs(density.moment0) or 1.0
     near = _NEAR_TANGENT * tol * max(1.0, scale)
 
-    # -- per-interval expectations
+    # -- plan: interval grids (None for an exact point), the positivity
+    # grid, which starts one spacing in from 0 since sine-kernel transforms
+    # vanish identically at 0 and a 1e-9 start would report a spurious
+    # graze there, the gap grids and the sign-change grid
+    instances = []
     for item in prediction.items:
         for k, a, b in _item_instances(item, prediction.k_max):
-            if item.expectation == "exact_zero_at":
-                r = abs(F(a))
-                ok = r <= 10.0 * tol * max(1.0, scale)
-                records.append(ZeroRecord(k, a, a, a, r, True))
-                if not ok:
-                    violations.append({
-                        "k": k, "interval": [a, a],
-                        "expected": f"zero at {a:.12g}" + (f" ({item.note})" if item.note else ""),
-                        "found": f"|F|={r:.3e}"})
-                continue
-            lo_s, hi_s = a + _SHRINK, b - _SHRINK
-            xs, vs = _scan_interval(F, lo_s, hi_s, per_pi)
-            found = _zeros_from_scan(F, xs, vs, scale, k_label=k)
-            records.extend(found)
-            n = len(found)
-            if item.expectation == "exactly_one":
-                if n == 1:
-                    if not found[0].simple:
-                        indet.append({
-                            "k": k, "interval": [a, b],
-                            "expected": "one simple zero",
-                            "found": f"zero at {found[0].abscissa:.9g} with "
-                                     "slope below the simplicity floor"})
-                    continue
-                if n == 0:
-                    m = min(abs(v) for v in vs)
-                    if m < near:
-                        indet.append({
-                            "k": k, "interval": [a, b],
-                            "expected": "exactly one zero",
-                            "found": f"no crossing; min |F|={m:.3e} grazes zero"})
-                    else:
-                        violations.append({
-                            "k": k, "interval": [a, b],
-                            "expected": "exactly one zero", "found": "no zero"})
-                else:
-                    violations.append({
-                        "k": k, "interval": [a, b],
-                        "expected": "exactly one zero", "found": f"{n} zeros"})
-            elif item.expectation == "at_least_one":
-                if n == 0:
-                    m = min(abs(v) for v in vs)
-                    if m < near:
-                        indet.append({
-                            "k": k, "interval": [a, b],
-                            "expected": "at least one zero",
-                            "found": f"no crossing; min |F|={m:.3e}"})
-                    else:
-                        violations.append({
-                            "k": k, "interval": [a, b],
-                            "expected": "at least one zero", "found": "no zero"})
-            elif item.expectation == "none_here":
-                if n:
-                    violations.append({
-                        "k": k, "interval": [a, b],
-                        "expected": "no zeros",
-                        "found": f"zero near {found[0].abscissa:.9g}"})
-
-    # -- positivity segment; the grid starts one spacing in from 0, since
-    # sine-kernel transforms vanish identically at 0 and a 1e-9 start would
-    # report a spurious graze there
+            grid = (None if item.expectation == "exact_zero_at"
+                    else _grid(a + _SHRINK, b - _SHRINK, per_pi))
+            instances.append((item, k, a, b, grid))
+    pos_grid = []
     if prediction.positivity is not None:
         claim = prediction.positivity
         upper = claim.upper if claim.upper is not None else horizon
-        n_pos = max(9, int(math.ceil(upper / _PI * per_pi)) + 1)
-        xs = [float(x) for x in np.linspace(upper / n_pos, upper, n_pos)]
-        vs = [F(x) for x in xs]
+        n_pos = _n_points(upper, per_pi)
+        pos_grid = [float(x) for x in np.linspace(upper / n_pos, upper, n_pos)]
+    gaps = (_gap_grids(prediction, horizon, per_pi)
+            if prediction.scan_complement and prediction.items else [])
+    sign_grid = (_grid(_SHRINK, horizon, per_pi)
+                 if prediction.sign_change_required else [])
+
+    # -- one batched evaluation of everything planned, then every sign
+    # change of the interval and gap scans refined in lockstep
+    planned = pos_grid + sign_grid
+    for _, _, a, _, grid in instances:
+        planned += [a] if grid is None else grid
+    for _, _, grid in gaps:
+        planned += grid
+    F.values(planned)
+    scans = [(k, grid) for _, k, _, _, grid in instances if grid is not None]
+    scans += [(0, grid) for _, _, grid in gaps]
+    zeros_found = iter(_zeros_from_scans(F, [g for _, g in scans],
+                                         [k for k, _ in scans], scale))
+
+    # -- per-interval expectations
+    for item, k, a, b, grid in instances:
+        if grid is None:
+            r = abs(F(a))
+            ok = r <= 10.0 * tol * max(1.0, scale)
+            records.append(ZeroRecord(k, a, a, a, r, True))
+            if not ok:
+                violations.append({
+                    "k": k, "interval": [a, a],
+                    "expected": f"zero at {a:.12g}" + (f" ({item.note})" if item.note else ""),
+                    "found": f"|F|={r:.3e}"})
+            continue
+        vs = F.values(grid)
+        found = next(zeros_found)
+        records.extend(found)
+        n = len(found)
+        if item.expectation == "exactly_one":
+            if n == 1:
+                if not found[0].simple:
+                    indet.append({
+                        "k": k, "interval": [a, b],
+                        "expected": "one simple zero",
+                        "found": f"zero at {found[0].abscissa:.9g} with "
+                                 "slope below the simplicity floor"})
+                continue
+            if n == 0:
+                m = min(abs(v) for v in vs)
+                if m < near:
+                    indet.append({
+                        "k": k, "interval": [a, b],
+                        "expected": "exactly one zero",
+                        "found": f"no crossing; min |F|={m:.3e} grazes zero"})
+                else:
+                    violations.append({
+                        "k": k, "interval": [a, b],
+                        "expected": "exactly one zero", "found": "no zero"})
+            else:
+                violations.append({
+                    "k": k, "interval": [a, b],
+                    "expected": "exactly one zero", "found": f"{n} zeros"})
+        elif item.expectation == "at_least_one":
+            if n == 0:
+                m = min(abs(v) for v in vs)
+                if m < near:
+                    indet.append({
+                        "k": k, "interval": [a, b],
+                        "expected": "at least one zero",
+                        "found": f"no crossing; min |F|={m:.3e}"})
+                else:
+                    violations.append({
+                        "k": k, "interval": [a, b],
+                        "expected": "at least one zero", "found": "no zero"})
+        elif item.expectation == "none_here":
+            if n:
+                violations.append({
+                    "k": k, "interval": [a, b],
+                    "expected": "no zeros",
+                    "found": f"zero near {found[0].abscissa:.9g}"})
+
+    # -- positivity segment
+    if prediction.positivity is not None:
+        vs = F.values(pos_grid)
         sgn = -1.0 if claim.sign == "-" else 1.0
         worst = min(sgn * v for v in vs)
-        wx = xs[int(np.argmin([sgn * v for v in vs]))]
+        wx = pos_grid[int(np.argmin([sgn * v for v in vs]))]
         if claim.sign == "+0":
             if worst < -near:
                 violations.append({
@@ -503,50 +613,24 @@ def verify_pattern(density, kind, prediction: Prediction,
                     "found": f"min margin {worst:.3e} below noise floor"})
 
     # -- complement must be zero-free
-    if prediction.scan_complement and prediction.items:
-        excl = _exclusion_intervals(prediction, horizon)
-        gaps = []
-        prev = _SHRINK
-        for lo, hi in excl:
-            if lo - prev > 1e-6:
-                gaps.append((prev, lo))
-            prev = max(prev, hi)
-        if horizon - prev > 1e-6:
-            gaps.append((prev, horizon))
-        pos_upper = None
-        if prediction.positivity is not None:
-            pos_upper = (prediction.positivity.upper
-                         if prediction.positivity.upper is not None else horizon)
-        for glo, ghi in gaps:
-            if pos_upper is not None and ghi <= pos_upper + 1e-12:
-                continue  # already covered by the sign scan
-            lo_s, hi_s = glo + _SHRINK, ghi - _SHRINK
-            if glo <= _SHRINK:
-                # transforms with a sine factor vanish at the origin; start
-                # the leading gap one grid spacing in instead of flagging a
-                # spurious graze there
-                n0 = max(9, int(math.ceil(hi_s / _PI * per_pi)) + 1)
-                lo_s = hi_s / n0
-            if hi_s <= lo_s:
-                continue
-            xs, vs = _scan_interval(F, lo_s, hi_s, per_pi)
-            found = _zeros_from_scan(F, xs, vs, scale)
-            for z in found:
-                violations.append({
+    for glo, ghi, grid in gaps:
+        found = next(zeros_found)
+        for z in found:
+            violations.append({
+                "k": None, "interval": [glo, ghi],
+                "expected": "no zeros in gap",
+                "found": f"zero near {z.abscissa:.9g}"})
+        if not found:
+            m = min(abs(v) for v in F.values(grid))
+            if m < near:
+                indet.append({
                     "k": None, "interval": [glo, ghi],
                     "expected": "no zeros in gap",
-                    "found": f"zero near {z.abscissa:.9g}"})
-            if not found:
-                m = min(abs(v) for v in vs)
-                if m < near:
-                    indet.append({
-                        "k": None, "interval": [glo, ghi],
-                        "expected": "no zeros in gap",
-                        "found": f"min |F|={m:.3e} grazes zero without crossing"})
+                    "found": f"min |F|={m:.3e} grazes zero without crossing"})
 
     # -- required sign change
     if prediction.sign_change_required:
-        xs, vs = _scan_interval(F, _SHRINK, horizon, per_pi)
+        vs = F.values(sign_grid)
         changed = any(vs[i] * vs[i + 1] < 0.0 or vs[i] == 0.0
                       for i in range(len(vs) - 1))
         if not changed:
@@ -563,7 +647,7 @@ def verify_pattern(density, kind, prediction: Prediction,
         passed=(status == "pass"), status=status,
         violations=tuple(violations), indeterminates=tuple(indet),
         records=tuple(records), horizon=horizon,
-        n_evaluations=F.n_evaluations, scale=scale, notes=tuple(notes))
+        n_evaluations=F.n_evaluations, scale=scale)
 
 
 def interlace_check(a, b) -> bool:

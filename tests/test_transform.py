@@ -7,12 +7,14 @@ the defining integrals (mpmath.quad on f(t) cos xt / f(t) sin xt over
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscilla import (ConsistencyError, ParameterError, closed_form,
-                     default_tol, evaluate, make_density, reflect)
+                     default_tol, evaluate, evaluate_many, make_density,
+                     reflect)
 
 # (family, params, kind, x) -> value
 _ORACLE = [
@@ -152,3 +154,49 @@ def test_tol_env_override(monkeypatch):
     assert default_tol() == 1e-6
     monkeypatch.delenv("OSCILLA_TOL")
     assert default_tol() == 1e-10
+
+
+# (density, kind): closed-form families, a singular beta with none, and a
+# reflected kind (its direct route and identity check both run batched)
+_MANY_CASES = [
+    (("beta", (1, 1)), "cosine"),
+    (("beta", (1, 1)), "d_sine"),
+    (("beta", (1, 2)), "sine"),
+    (("beta", (2, 1)), "cosine"),
+    (("kuttner", (2, 1)), "sine"),
+    (("quadratic", (1, 0.5)), "cosine"),
+    (("beta", (0.2, 0.6)), "sine"),
+    (("beta", (0.2, 0.6)), "cosine_reflected"),
+    (("beta", (2, 1)), "sine_reflected"),
+]
+
+
+@pytest.mark.parametrize("density,kind", _MANY_CASES)
+def test_evaluate_many_matches_scalar_and_closed_form(density, kind):
+    d = make_density(*density)
+    xs = [64 * math.pi * k / 160 for k in range(1, 161)] + [1e-3, 0.3]
+    values, errors = evaluate_many(d, kind, xs)
+    assert values.shape == errors.shape == (len(xs),)
+    for x, v, e in zip(xs, values, errors):
+        r = evaluate(d, kind, x)
+        assert abs(v - float(r)) <= 1e-14 + e + r.abs_error_estimate, x
+        cf = closed_form(d, kind, x)
+        if cf is not None:
+            assert abs(v - float(cf)) <= e + 1e-14, x
+
+
+def test_evaluate_many_at_zero_and_any_order():
+    d = make_density("beta", (2, 3))
+    values, errors = evaluate_many(d, "cosine", (3.0, 0.0, 1.0))
+    assert values[1] == float(evaluate(d, "cosine", 0.0)) == 1.0
+    assert errors[1] > 0.0
+    for x, v in zip((3.0, 1.0), values[[0, 2]]):
+        assert v == pytest.approx(float(evaluate(d, "cosine", x)), abs=1e-13)
+
+
+@pytest.mark.parametrize("xs", [[], [1.0, -0.5], [math.nan], [2.0, math.inf],
+                                [[1.0, 2.0]], ["a"]])
+def test_evaluate_many_rejects_bad_abscissas(xs):
+    d = make_density("uniform")
+    with pytest.raises(ParameterError):
+        evaluate_many(d, "cosine", xs)

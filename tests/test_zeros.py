@@ -10,7 +10,7 @@ from oscilla import (EndpointSpec, ParameterError, PatternItem,
                      PositivityClaim, Prediction, evaluate, interlace_check,
                      make_density, scan_and_refine, sigma_roots,
                      verify_pattern)
-from oscilla.zeros import records_to_csv
+from oscilla.zeros import _refine_roots, records_to_csv
 
 from oracles import bisect, j0_first_root, j0_series, sigma_ref
 
@@ -236,3 +236,68 @@ def test_j0_series_oracle_sanity():
     assert j0_series(1.0) == pytest.approx(0.7651976865579666, abs=1e-13)
     assert bisect(lambda x: x * x - 2.0, 0.0, 2.0) == pytest.approx(
         math.sqrt(2), abs=1e-13)
+
+
+def _refine_one(F, a, b, fa, fb, width_tol=None):
+    # the one-bracket-at-a-time loop the lockstep refinement replaced
+    for _ in range(120):
+        goal = width_tol if width_tol is not None else 1e-13 * (1.0 + abs(b))
+        if b - a <= max(goal, 4e-16 * (1.0 + abs(b))):
+            break
+        m = 0.5 * (a + b)
+        if fb != fa:
+            s = b - fb * (b - a) / (fb - fa)
+            if a + 0.125 * (b - a) < s < b - 0.125 * (b - a):
+                m = s
+        fm = F(m)
+        if fm == 0.0:
+            return m, m, m
+        if (fa < 0.0) == (fm < 0.0):
+            a, fa = m, fm
+        else:
+            b, fb = m, fm
+    return a, b, 0.5 * (a + b)
+
+
+@pytest.mark.parametrize("width_tol", [None, 1e-6])
+def test_lockstep_refinement_matches_one_at_a_time(width_tol):
+    # a pure function makes lockstep and sequential refinement bit-identical
+    # a triple root at 0.25 and simple ones at multiples of pi
+    f = lambda x: math.sin(x) * (x - 0.25) ** 3
+    brackets = [(a, b, f(a), f(b)) for a, b in
+                ((0.1, 0.4), (2.0, 4.0), (5.9, 7.0), (9.0, 10.0), (0.3, 3.5))]
+    calls = []
+
+    def many(xs):
+        calls.append(len(xs))
+        return [f(x) for x in xs]
+
+    got = _refine_roots(many, brackets, width_tol)
+    assert got == [_refine_one(f, *br, width_tol) for br in brackets]
+    assert max(calls) == len(brackets)
+
+
+# one classified cell of the criterion-12 grid per region tag
+_TAG_CELLS = [
+    ((2.7, 0.4), "Pc"), ((2.8, 1.7), "Ps_minus_Pc"), ((0.5, 2.3), "Pc_star"),
+    ((1.3, 3.4), "Ps_star_minus_Pc_star"), ((1.5, 1.0), "concave_strip"),
+    ((2.1, 2.1), "diagonal"), ((2.4, 3.5), "sign_change_zone"),
+    ((1.0, 2.0), "excluded_point"),
+]
+
+
+@pytest.mark.parametrize("ab,tag", _TAG_CELLS)
+def test_verdict_stable_when_scan_density_doubles(ab, tag):
+    from oscilla import classify_beta_params, predict
+    label = classify_beta_params(*ab)
+    assert label.tag == tag
+    d = make_density("beta", ab)
+    for kind, pred in zip(("cosine", "sine"), predict(label, k_max=10)):
+        if pred is None:
+            continue
+        base = verify_pattern(d, kind, pred, per_pi=64)
+        fine = verify_pattern(d, kind, pred, per_pi=128)
+        assert fine.status == base.status, (kind, fine.violations)
+        assert len(fine.records) == len(base.records)
+        for a, b in zip(base.records, fine.records):
+            assert a.abscissa == pytest.approx(b.abscissa, abs=1e-9)
