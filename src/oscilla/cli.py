@@ -25,8 +25,8 @@ from .atlas import (REGION_TAGS, RegionLabel, _sweep_cell,
                     region_memberships, steinerberger_signs)
 from .density import parse_density
 from .errors import OscillaError, ParameterError
-from .transform import TransformKind, evaluate
-from .zeros import records_to_csv, scan_and_refine, sigma_roots, verify_pattern
+from .transform import TransformKind, evaluate, evaluate_many
+from .zeros import _scan_and_refine, records_to_csv, sigma_roots, verify_pattern
 
 _PI = math.pi
 _KIND_NAMES = tuple(k.value for k in TransformKind)
@@ -153,12 +153,9 @@ def _cmd_zeros(ns, out) -> int:
         raise _UsageError(f"--kmax must be >= 1, got {ns.kmax}")
     hi = (ns.kmax + 1) * _PI
     grid = 64 * (ns.kmax + 1)
-
-    def f(x, _d=d, _kind=ns.kind, _tol=ns.tol):
-        return float(evaluate(_d, _kind, x, tol=_tol))
-
     kw = {} if ns.tol is None else {"tol": ns.tol}
-    recs = scan_and_refine(f, (hi / grid, hi), grid_points=grid, **kw)
+    recs = _scan_and_refine(lambda xs: evaluate_many(d, ns.kind, xs, ns.tol),
+                            (hi / grid, hi), grid_points=grid, **kw)
     text = records_to_csv(recs, canon, ns.kind)
     if ns.out:
         with open(ns.out, "w", encoding="utf-8") as fh:

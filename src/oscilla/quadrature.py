@@ -36,6 +36,11 @@ from .errors import QuadratureError
 # larger blocks ran no faster and raised the peak resident memory
 _BLOCK = 1 << 15
 
+# floor of every returned error estimate, times the integral of |w|: the
+# rounding of a sum over the nodes, which the rule differences do not see
+# (QUADPACK's 50 * epmach * resabs)
+_ROUNDOFF = 50.0 * np.finfo(float).eps
+
 # ---------------------------------------------------------------------------
 # compensated accumulation
 # ---------------------------------------------------------------------------
@@ -172,7 +177,8 @@ def _de_panel(w2, kernel, xs: np.ndarray, a: float, b: float,
     singularities of w are sampled correctly. Levels are refined (reusing all
     previous nodes) until, for each x, two successive estimates agree within
     panel_tol; x that have converged drop out of the deeper levels.
-    Returns arrays (values, error_estimates).
+    Returns arrays (values, error_estimates) and the level-2 estimate of
+    the integral of |w| over the panel.
     """
     width = b - a
     one_minus_b = 1.0 - b
@@ -198,21 +204,22 @@ def _de_panel(w2, kernel, xs: np.ndarray, a: float, b: float,
         out = np.empty(xs.size)
         for rows, k in _kernel_blocks(kernel, xs, t):
             out[rows] = k @ fw
-        return out
+        return out, float(np.abs(fw).sum())
 
     # level 2 from scratch; each deeper level adds the odd-index nodes and
     # halves the previously accumulated weighted sum
-    val = width * level_sums(2, False, xs)
+    sums, abs_w = level_sums(2, False, xs)
+    val = width * sums
     est = np.abs(val)
     todo = np.arange(xs.size)
     for level in (3, 4, 5, 6):
-        cur = 0.5 * val[todo] + width * level_sums(level, True, xs[todo])
+        cur = 0.5 * val[todo] + width * level_sums(level, True, xs[todo])[0]
         est[todo] = np.abs(cur - val[todo])
         val[todo] = cur
         todo = todo[est[todo] > panel_tol]
         if not todo.size:
             break
-    return val, np.maximum(0.5 * est, 1e-17 * np.abs(val))
+    return val, np.maximum(0.5 * est, 1e-17 * np.abs(val)), width * abs_w
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +230,8 @@ def _de_panel(w2, kernel, xs: np.ndarray, a: float, b: float,
 def _gk_batch(w2, kernel, xs: np.ndarray, lows: np.ndarray,
               highs: np.ndarray):
     """G7/K15 over many panels and every x at once. Returns (values,
-    errors), each of shape (len(xs), len(lows))."""
+    errors), each of shape (len(xs), len(lows)), and the K15 integral of
+    |w| over each panel."""
     n = lows.size
     half = 0.5 * (highs - lows)
     mid = 0.5 * (highs + lows)
@@ -239,7 +247,7 @@ def _gk_batch(w2, kernel, xs: np.ndarray, lows: np.ndarray,
         g7 = kg[:, 1].reshape(-1, n)
         vals[rows] = half * k15
         errs[rows] = np.abs(half * (k15 - g7))
-    return vals, errs
+    return vals, errs, half * (np.abs(w).reshape(-1, 15) @ _GK_WK)
 
 
 def oscillatory_integrals(w2, xs, kernel: str, *,
@@ -254,7 +262,8 @@ def oscillatory_integrals(w2, xs, kernel: str, *,
     points and return the weight values; it is called once per node, for
     all x together. Returns arrays (values, error_estimates) aligned with
     xs; raises QuadratureError if any x's estimate cannot be brought under
-    tol within the refinement budget.
+    tol within the refinement budget. No returned estimate is below
+    _ROUNDOFF times the integral of |w|, the rounding level of the sums.
     """
     ker = np.cos if kernel == "cos" else np.sin
     xs = np.asarray(xs, dtype=float).reshape(-1)
@@ -281,6 +290,7 @@ def oscillatory_integrals(w2, xs, kernel: str, *,
 
     values = np.zeros(xs.size)
     errors = np.zeros(xs.size)
+    abs_w = 0.0
     n_panels = len(edges) - 1
     # per-panel tolerance target; end panels get the larger share since the
     # tanh-sinh estimate is the one that actually adapts
@@ -292,9 +302,10 @@ def oscillatory_integrals(w2, xs, kernel: str, *,
         a, b = edges[i], edges[i + 1]
         de = (i == 0 and singular_at_0) or (i == n_panels - 1 and singular_at_1)
         if de:
-            v, e = _de_panel(w2, ker, xs, a, b, panel_tol)
+            v, e, aw = _de_panel(w2, ker, xs, a, b, panel_tol)
             values += v
             errors += e
+            abs_w += aw
         else:
             gk_lo.append(a)
             gk_hi.append(b)
@@ -309,13 +320,14 @@ def oscillatory_integrals(w2, xs, kernel: str, *,
     for rnd in range(13):
         if not lows.size:
             break
-        vals, errs = _gk_batch(w2, ker, xs, lows, highs)
+        vals, errs, aws = _gk_batch(w2, ker, xs, lows, highs)
         bad = (errs > panel_tol).any(axis=0)
         if rnd == 12 or n_done + lows.size > 512:
             bad[:] = False
         done = ~bad
         values += vals[:, done].sum(axis=1)
         errors += errs[:, done].sum(axis=1)
+        abs_w += float(aws[done].sum())
         n_done += int(done.sum())
         mid = 0.5 * (lows[bad] + highs[bad])
         lows, highs = (np.concatenate([lows[bad], mid]),
@@ -329,7 +341,7 @@ def oscillatory_integrals(w2, xs, kernel: str, *,
             f"quadrature error estimate {errors[i]:.3e} exceeds tolerance "
             f"{tol:.3e} at x={xs[i]:.17g}",
             value=float(values[i]), error_estimate=float(errors[i]))
-    return values, errors
+    return values, np.maximum(errors, _ROUNDOFF * abs_w)
 
 
 def oscillatory_integral(w2, x: float, kernel: str, *,

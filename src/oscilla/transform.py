@@ -176,9 +176,15 @@ def _cs_power(d: int, x, lb):
     raise ValueError(d)
 
 
+# gegenbauer(0.5) is the uniform density 1 = beta(1, 1), and gegenbauer(1.5)
+# is 1 - t^2 = kuttner(2, 1); both read the other family's closed forms
+_SAME_DENSITY = {("gegenbauer", (0.5,)): ("beta", (1.0, 1.0)),
+                 ("gegenbauer", (1.5,)): ("kuttner", (2.0, 1.0))}
+
+
 def _closed_form_expr(d: Density, kind: TransformKind):
     """Return expr(x, lib) for (density, kind) or None."""
-    fam, p = d.family, d.params
+    fam, p = _SAME_DENSITY.get((d.family, d.params), (d.family, d.params))
     if fam == "beta":
         if p == (1.0, 1.0):
             return {TransformKind.COSINE: _cf_uniform_cos,
@@ -223,29 +229,7 @@ def _closed_form_expr(d: Density, kind: TransformKind):
                         - _b * _cs_power(2, x, lb)[1])
             return expr
         return None
-    if fam == "gegenbauer":
-        if p == (0.5,):
-            return _closed_form_expr_uniform(kind)
-        if p == (1.5,):  # 1 - t^2, same as kuttner(2, 1)
-            if kind == TransformKind.COSINE:
-                def expr(x, lb):
-                    return lb.sin(x) / x - _cs_power(2, x, lb)[0]
-                return expr
-            if kind == TransformKind.SINE:
-                def expr(x, lb):
-                    return (1 - lb.cos(x)) / x - _cs_power(2, x, lb)[1]
-                return expr
-        return None
     return None
-
-
-def _closed_form_expr_uniform(kind):
-    return {TransformKind.COSINE: _cf_uniform_cos,
-            TransformKind.SINE: _cf_uniform_sin,
-            TransformKind.D_COSINE: _cf_uniform_dcos,
-            TransformKind.D_SINE: _cf_uniform_dsin,
-            TransformKind.COSINE_REFLECTED: _cf_uniform_cos,
-            TransformKind.SINE_REFLECTED: _cf_uniform_sin}.get(kind)
 
 
 def _value_at_zero(d: Density, kind: TransformKind) -> float:

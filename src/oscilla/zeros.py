@@ -11,16 +11,21 @@ module turns a prediction into a deterministic numerical verdict:
     hybrid;
   * the complement of the predicted intervals up to the horizon is scanned
     for unexpected zeros;
-  * grazing near-tangencies (small |F| without a sign change) make the
-    verdict indeterminate rather than a pass or a fail.
+  * a margin below its floor (a grazing minimum without a sign change, a
+    zero without a clear slope) makes the verdict indeterminate rather
+    than a pass or a fail, and the report names the margin.
 
-verify_pattern works in three steps. It plans every abscissa it needs
+verify_pattern works in four steps. It plans every abscissa it needs
 (interval grids, exact points, the positivity grid, gap grids and the
-sign-change grid), evaluates all of them with one evaluate_many call, and
-then refines the sign changes of every scan in lockstep: each
-bisection/secant step of all brackets is one more batched call, and the
-simplicity probes around all roots are one more. The verdicts then read
-the point cache.
+sign-change grid). It builds a Chebyshev proxy of the transform on [0, H],
+H the largest planned abscissa, from one evaluate_many call at the
+Chebyshev points (U and V are entire of exponential type 1, so degree 64
+or 128 resolves them); when the proxy would need more points than the plan
+holds, the plan is evaluated by quadrature instead. It scans every grid
+and refines all sign changes in lockstep on the proxy. Finally one more
+evaluate_many call re-checks by quadrature everything the verdict reads:
+the simplicity probes and residual of every root, the exact points, the
+argmin of every margin and a bracketing pair of a required sign change.
 
 Grids, refinement steps and thresholds are all deterministic functions of
 the prediction and tolerance, so repeated runs agree bit for bit.
@@ -42,7 +47,13 @@ from .transform import evaluate  # noqa: F401
 _PI = math.pi
 _SHRINK = 1e-9          # open intervals are closed in by this much per side
 _SIMPLE_H = 1e-7        # half-width of the simplicity probe
-_NEAR_TANGENT = 100.0   # |F| < 100*tol without a crossing -> indeterminate
+_SLOPE = 1e-6           # a simple zero has |slope| > 1e-6 * scale
+_NEAR_TANGENT = 100.0   # |F| < 100*tol (+ proxy bound) without a crossing
+                        # -> indeterminate
+_WIDTH_TOL = 1e-12      # default bracket width of scan_and_refine
+_PROXY_DEGREE = 64      # first degree of the Chebyshev proxy
+_PROXY_CHOP = 1e-13     # relative level of the proxy's coefficient plateau
+_PROXY_BLOCK = 1 << 15  # largest barycentric matrix formed at once, elements
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +207,8 @@ class VerificationReport:
     horizon: float
     n_evaluations: int
     scale: float
+    proxy_degree: int = 0            # 0: the planned grid went to quadrature
+    proxy_bound: float = 0.0         # bound on |proxy - F|, part of the floor
 
 
 # ---------------------------------------------------------------------------
@@ -204,20 +217,25 @@ class VerificationReport:
 
 
 class _CachedF:
-    """Point cache around a batched function many(list_of_x) -> values.
+    """Point cache around a batched function many(list_of_x) -> (values,
+    error_estimates), the convention of evaluate_many.
 
     values(xs) computes every abscissa not seen before with one call of
-    many, in ascending order; scans, gap scans, root refinement and the
-    simplicity probes share abscissas through it."""
+    many, in ascending order; the proxy nodes, scans, root refinement and
+    the quadrature re-checks share abscissas through it. errors holds the
+    error estimate of every cached abscissa."""
 
     def __init__(self, many):
         self.many = many
         self.cache: dict[float, float] = {}
+        self.errors: dict[float, float] = {}
 
     def values(self, xs) -> list[float]:
         missing = sorted(set(xs).difference(self.cache))
         if missing:
-            self.cache.update(zip(missing, self.many(missing)))
+            vs, es = self.many(missing)
+            self.cache.update(zip(missing, map(float, vs)))
+            self.errors.update(zip(missing, map(float, es)))
         return [self.cache[x] for x in xs]
 
     def __call__(self, x: float) -> float:
@@ -226,6 +244,75 @@ class _CachedF:
     @property
     def n_evaluations(self) -> int:
         return len(self.cache)
+
+
+class _ChebProxy:
+    """Polynomial interpolant of a transform on [0, H] through the n + 1
+    Chebyshev points of the second kind, x_j = H sin^2(j pi / 2n).
+
+    values(xs) evaluates the barycentric formula of the second kind.
+    bound bounds |proxy - F| on [0, H]: the tail of the Chebyshev
+    coefficients on the noise plateau, plus the Lebesgue constant of the
+    points times the largest quadrature error estimate at the nodes."""
+
+    def __init__(self, nodes: np.ndarray, vals: np.ndarray, bound: float):
+        self.nodes = nodes
+        self.vals = vals
+        self.bound = bound
+        w = np.resize([1.0, -1.0], nodes.size)
+        w[[0, -1]] *= 0.5
+        # numerator and denominator weights as the columns of one matrix
+        self._wv = np.stack([w * vals, w], axis=1)
+
+    @property
+    def degree(self) -> int:
+        return self.nodes.size - 1
+
+    def values(self, xs) -> list[float]:
+        x = np.asarray(xs, dtype=float)
+        # an abscissa on a node takes the node's value
+        at = np.minimum(np.searchsorted(self.nodes, x), self.nodes.size - 1)
+        hit = self.nodes[at] == x
+        out = np.empty(x.size)
+        step = max(1, _PROXY_BLOCK // self.nodes.size)
+        for r in range(0, x.size, step):
+            d = np.subtract.outer(x[r:r + step], self.nodes)
+            rows = np.flatnonzero(hit[r:r + step])
+            d[rows, at[r + rows]] = 1.0
+            nd = np.reciprocal(d, out=d) @ self._wv
+            out[r:r + step] = nd[:, 0] / nd[:, 1]
+        out[hit] = self.vals[at[hit]]
+        return out.tolist()
+
+
+def _chebyshev_proxy(F: _CachedF, H: float, n_limit: int) -> _ChebProxy | None:
+    """Chebyshev proxy of F on [0, H], or None when its points would
+    outnumber the n_limit abscissas the caller would otherwise evaluate.
+
+    F is the quadrature route behind a _CachedF; each degree tried costs one
+    batched call (doubling reuses the previous points, which are every
+    second point of the next set). The degree starts at _PROXY_DEGREE and
+    doubles until the last eighth of the Chebyshev coefficients lies on the
+    noise plateau: below _PROXY_CHOP times the largest coefficient, or
+    below the largest quadrature error estimate at the nodes, which no
+    degree can resolve. U and V are entire of exponential type 1, so on
+    [0, (k_max + 1) pi] with k_max <= 20 this happens at degree 64 or 128.
+    """
+    n = _PROXY_DEGREE
+    while n + 1 <= n_limit:
+        nodes = H * np.sin(np.arange(n + 1) * (0.5 * _PI / n)) ** 2
+        nodes[-1] = H
+        vals = np.array(F.values(nodes.tolist()))
+        err = max(F.errors[x] for x in nodes.tolist())
+        # DCT-I by one real FFT of the even extension
+        c = np.abs(np.fft.rfft(np.concatenate([vals, vals[-2:0:-1]])).real) / n
+        c[[0, -1]] *= 0.5
+        tail = c[-(n // 8):]
+        if tail.max() <= max(_PROXY_CHOP * c.max(), err):
+            lebesgue = 2.0 / _PI * math.log(n + 1) + 1.0
+            return _ChebProxy(nodes, vals, float(tail.sum()) + lebesgue * err)
+        n *= 2
+    return None
 
 
 def _n_points(length: float, per_pi: int) -> int:
@@ -276,54 +363,66 @@ def _refine_roots(values, brackets, width_tol=None):
             for d, st in zip(done, state)]
 
 
-def _zeros_from_scans(F, scans, labels, scale, width_tol=None):
-    """Refine every sign change in each scanned grid into ZeroRecords.
+def _argmin(grid, key):
+    """(grid point, key) where the key list is smallest."""
+    i = int(np.argmin(key))
+    return grid[i], key[i]
 
-    F is a _CachedF; scans are the grids, labels their k labels. Returns one
-    record list per scan. The brackets of all scans are refined together
-    and the simplicity probes of all roots go in one batched call."""
-    found = []       # (scan, bracket index or None, grid point for None)
+
+def _sign_changes(values, scans, width_tol=None):
+    """Locate and refine every sign change of each scanned grid.
+
+    values maps a list of abscissas to their values; scans are the grids.
+    Returns one list of (lo, hi, root) per scan: a refined bracket, or
+    (x, x, x) for a grid point whose value is exactly 0. The brackets of
+    all scans are refined together."""
+    found: list[list] = [[] for _ in scans]
+    slots = []
     brackets = []
     for s, xs in enumerate(scans):
-        vs = F.values(xs)
+        vs = values(xs)
         for i in range(len(xs) - 1):
             va, vb = vs[i], vs[i + 1]
             if va == 0.0:
-                # grid point hit a zero exactly; treat as its own record once
+                # grid point hit a zero exactly; treat as its own root once
                 if i == 0 or vs[i - 1] != 0.0:
-                    found.append((s, None, xs[i]))
+                    found[s].append((xs[i], xs[i], xs[i]))
                 continue
             if va * vb < 0.0:
-                found.append((s, len(brackets), None))
+                slots.append((s, len(found[s])))
+                found[s].append(None)
                 brackets.append((xs[i], xs[i + 1], va, vb))
-    refined = _refine_roots(F.values, brackets, width_tol)
-    probes = []
-    for _, j, x0 in found:
-        if j is None:
-            probes += [x0 + _SIMPLE_H, x0 - _SIMPLE_H]
-        else:
-            root = refined[j][2]
-            probes += [root + _SIMPLE_H, root - _SIMPLE_H, root]
-    F.values(probes)
-    out: list[list[ZeroRecord]] = [[] for _ in scans]
-    for s, j, x0 in found:
-        if j is None:
-            sl = (F(x0 + _SIMPLE_H) - F(x0 - _SIMPLE_H)) / (2.0 * _SIMPLE_H)
-            out[s].append(ZeroRecord(labels[s], x0, x0, x0, 0.0,
-                                     abs(sl) > 1e-6 * scale))
-            continue
-        a, b, root = refined[j]
-        fp = F(root + _SIMPLE_H)
-        fm = F(root - _SIMPLE_H)
-        slope = (fp - fm) / (2.0 * _SIMPLE_H)
-        simple = (fp == 0.0 or fm == 0.0 or (fm < 0.0) != (fp < 0.0)) \
-            and abs(slope) > 1e-6 * scale
-        out[s].append(ZeroRecord(labels[s], a, b, root, abs(F(root)), simple))
-    return out
+    for (s, i), root in zip(slots, _refine_roots(values, brackets, width_tol)):
+        found[s][i] = root
+    return found
+
+
+def _probe_points(roots) -> list[float]:
+    """Abscissas the simplicity check of each (lo, hi, root) reads."""
+    return [x for _, _, r in roots for x in (r + _SIMPLE_H, r - _SIMPLE_H, r)]
+
+
+def _crosses(F, x: float) -> bool:
+    """F changes sign across x +- _SIMPLE_H (or vanishes at one end)."""
+    fp, fm = F(x + _SIMPLE_H), F(x - _SIMPLE_H)
+    return fp == 0.0 or fm == 0.0 or (fm < 0.0) != (fp < 0.0)
+
+
+def _slope(F, x: float) -> float:
+    return (F(x + _SIMPLE_H) - F(x - _SIMPLE_H)) / (2.0 * _SIMPLE_H)
+
+
+def _records(F, roots, k: int, scale: float) -> list[ZeroRecord]:
+    """ZeroRecords of refined roots, read from F after the caller has
+    evaluated their _probe_points: the residual is |F(root)|, and a zero
+    is simple when F changes sign across it with |slope| > _SLOPE * scale."""
+    return [ZeroRecord(k, lo, hi, root, abs(F(root)),
+                       _crosses(F, root) and abs(_slope(F, root)) > _SLOPE * scale)
+            for lo, hi, root in roots]
 
 
 def scan_and_refine(F, interval, grid_points: int | None = None,
-                    tol: float = 1e-12) -> tuple[ZeroRecord, ...]:
+                    tol: float = _WIDTH_TOL) -> tuple[ZeroRecord, ...]:
     """Locate every sign change of a real function in an interval.
 
     F is any real callable; interval is (lo, hi). The grid has grid_points
@@ -331,6 +430,17 @@ def scan_and_refine(F, interval, grid_points: int | None = None,
     least 9); every sign change is refined to a bracket of width <= tol and
     records come back sorted ascending, numbered from 1.
     """
+    def many(xs):
+        return [float(F(x)) for x in xs], [0.0] * len(xs)
+    return _scan_and_refine(many, interval, grid_points, tol)
+
+
+def _scan_and_refine(many, interval, grid_points: int | None = None,
+                     tol: float = _WIDTH_TOL) -> tuple[ZeroRecord, ...]:
+    """scan_and_refine for a batched function many(list_of_x) -> (values,
+    error_estimates), such as a partial application of evaluate_many: the
+    grid is one call, each lockstep refinement step one more, and the
+    simplicity probes of all roots one more."""
     lo, hi = float(interval[0]), float(interval[1])
     if not (lo < hi) or not (math.isfinite(lo) and math.isfinite(hi)):
         raise ParameterError(f"need finite lo < hi, got ({lo!r}, {hi!r})")
@@ -341,14 +451,15 @@ def scan_and_refine(F, interval, grid_points: int | None = None,
     if not (tol > 0.0):
         raise ParameterError(f"tol must be positive, got {tol!r}")
     xs = [float(x) for x in np.linspace(lo, hi, grid_points)]
-    cached = _CachedF(lambda pts: [float(F(x)) for x in pts])
-    vs = cached.values(xs)
+    F = _CachedF(many)
+    vs = F.values(xs)
     for x, v in zip(xs, vs):
         if not math.isfinite(v):
             raise OscillaError(f"function not finite at x={x:.17g}")
     scale = max(abs(v) for v in vs) or 1.0
-    found = _zeros_from_scans(cached, [xs], [0], scale, width_tol=tol)[0]
-    found.sort(key=lambda z: z.abscissa)
+    roots = _sign_changes(F.values, [xs], width_tol=tol)[0]
+    F.values(_probe_points(roots))
+    found = sorted(_records(F, roots, 0, scale), key=lambda z: z.abscissa)
     return tuple(replace(z, k=i + 1) for i, z in enumerate(found))
 
 
@@ -461,27 +572,54 @@ def _gap_grids(prediction: Prediction, horizon: float, per_pi: int):
     return out
 
 
+def _indeterminate(k, interval, expected: str, found: str, margin: str,
+                   value: float, floor: float, proxy_bound: float) -> dict:
+    """An indeterminates entry: the margin that failed, its value, the floor
+    it was compared with and the part of that floor that is the proxy
+    bound (0.0 when the floor does not contain it)."""
+    return {"k": k, "interval": interval, "expected": expected,
+            "found": found, "margin": margin, "value": value,
+            "floor": floor, "proxy_bound": proxy_bound}
+
+
 def verify_pattern(density, kind, prediction: Prediction,
                    tol: float | None = None, per_pi: int = 64
                    ) -> VerificationReport:
     """Check a transform against a predicted zero pattern.
 
-    Returns a report whose status is 'pass', 'fail', or 'indeterminate'
-    (the latter when a grazing minimum below the noise floor prevents an
-    honest yes/no at this tolerance). per_pi sets the scan density; the
-    verdict should be stable under doubling it.
+    Returns a report whose status is 'pass', 'fail', or 'indeterminate'.
+    Indeterminate means a margin fell below its floor, so no honest yes/no
+    is possible at this tolerance; each indeterminates entry names the
+    margin, its value, the floor and the proxy bound's part of the floor.
+    per_pi sets the scan density; the verdict should be stable under
+    doubling it.
 
-    The work runs in three steps: plan every grid the verdict reads, fill
-    the point cache with one evaluate_many call, then refine the sign
-    changes of all interval and gap scans in lockstep. n_evaluations counts
-    the distinct abscissas evaluated.
+    The work runs in four steps:
+      1. plan every grid the verdict reads;
+      2. build a Chebyshev proxy of the transform on [0, H], H the largest
+         planned abscissa, with one batched quadrature call per degree
+         tried; when it would need more points than the plan holds, the
+         planned grid is evaluated by quadrature instead and steps 3-4
+         read those values;
+      3. scan every grid and refine every sign change in lockstep on the
+         proxy;
+      4. re-check by quadrature in one batched call: the simplicity probes
+         and the residual of every root, every exact zero point, the
+         argmin of every margin (positivity, no-crossing and gap minima,
+         each taken as the smaller of proxy and quadrature value) and one
+         bracketing pair of a required sign change.
+    A proxy root that quadrature does not confirm makes its expectation
+    indeterminate unless the confirmed roots already decide it, and the
+    noise floor is widened by the proxy bound, so every verdict rests on
+    quadrature values. n_evaluations counts the distinct abscissas
+    evaluated by quadrature.
     """
     from .transform import coerce_kind, TransformKind
     tol = resolve_tol(tol)
     kind = coerce_kind(kind)
     if per_pi < 8:
         raise ParameterError("per_pi must be at least 8")
-    F = _CachedF(lambda xs: evaluate_many(density, kind, xs, tol)[0].tolist())
+    F = _CachedF(lambda xs: evaluate_many(density, kind, xs, tol))
     horizon = prediction.horizon()
     violations: list[dict] = []
     indet: list[dict] = []
@@ -493,7 +631,7 @@ def verify_pattern(density, kind, prediction: Prediction,
         scale = abs(density.moment1) or 1.0
     else:
         scale = abs(density.moment0) or 1.0
-    near = _NEAR_TANGENT * tol * max(1.0, scale)
+    slope_floor = _SLOPE * scale
 
     # -- plan: interval grids (None for an exact point), the positivity
     # grid, which starts one spacing in from 0 since sine-kernel transforms
@@ -509,27 +647,83 @@ def verify_pattern(density, kind, prediction: Prediction,
     if prediction.positivity is not None:
         claim = prediction.positivity
         upper = claim.upper if claim.upper is not None else horizon
+        sgn = -1.0 if claim.sign == "-" else 1.0
         n_pos = _n_points(upper, per_pi)
         pos_grid = [float(x) for x in np.linspace(upper / n_pos, upper, n_pos)]
     gaps = (_gap_grids(prediction, horizon, per_pi)
             if prediction.scan_complement and prediction.items else [])
     sign_grid = (_grid(_SHRINK, horizon, per_pi)
                  if prediction.sign_change_required else [])
-
-    # -- one batched evaluation of everything planned, then every sign
-    # change of the interval and gap scans refined in lockstep
     planned = pos_grid + sign_grid
     for _, _, a, _, grid in instances:
         planned += [a] if grid is None else grid
     for _, _, grid in gaps:
         planned += grid
-    F.values(planned)
-    scans = [(k, grid) for _, k, _, _, grid in instances if grid is not None]
-    scans += [(0, grid) for _, _, grid in gaps]
-    zeros_found = iter(_zeros_from_scans(F, [g for _, g in scans],
-                                         [k for k, _ in scans], scale))
+
+    # -- G, the values the scans read: the proxy, or else the planned
+    # grid evaluated by quadrature
+    proxy = _chebyshev_proxy(F, max(planned, default=0.0), len(set(planned)))
+    if proxy is None:
+        F.values(planned)
+        G, bound = F, 0.0
+    else:
+        G, bound = proxy, proxy.bound
+    near = _NEAR_TANGENT * tol * max(1.0, scale) + bound
+
+    # -- scan and refine on G; a scan with no root whose verdict reads its
+    # minimum gets the argmin of |G|, the positivity grid that of sgn*G,
+    # and a required sign change the pair of grid points that brackets
+    # one most clearly
+    scans = [(grid, item.expectation != "none_here")
+             for item, _, _, _, grid in instances if grid is not None]
+    scans += [(grid, True) for _, _, grid in gaps]
+    roots = _sign_changes(G.values, [grid for grid, _ in scans])
+    lows = [None] * len(scans)
+    for j, (grid, reads_min) in enumerate(scans):
+        if reads_min and not roots[j]:
+            lows[j] = _argmin(grid, [abs(v) for v in G.values(grid)])
+    if pos_grid:
+        pos_low = _argmin(pos_grid, [sgn * v for v in G.values(pos_grid)])
+    pair = None
+    if sign_grid:
+        vs = G.values(sign_grid)
+        changes = [(min(abs(vs[i]), abs(vs[i + 1])), i)
+                   for i in range(len(vs) - 1)
+                   if vs[i] * vs[i + 1] < 0.0 or vs[i] == 0.0]
+        if changes:
+            i = max(changes)[1]
+            pair = (sign_grid[i], sign_grid[i + 1])
+
+    # -- the quadrature re-check, one batched call
+    recheck = [x for rs in roots for x in _probe_points(rs)]
+    recheck += [a for _, _, a, _, grid in instances if grid is None]
+    recheck += [low[0] for low in lows if low is not None]
+    if pos_grid:
+        recheck.append(pos_low[0])
+    if pair is not None:
+        recheck += pair
+    F.values(recheck)
+
+    def min_abs(j):
+        x, m = lows[j]
+        return min(m, abs(F(x)))
+
+    def split(j, k):
+        # the roots of scan j as records, and which of them quadrature
+        # confirms (a root of quadrature values is confirmed by its bracket)
+        found = _records(F, roots[j], k, scale)
+        ok = [G is F or _crosses(F, z.abscissa) for z in found]
+        return (found, [z for z, c in zip(found, ok) if c],
+                [z for z, c in zip(found, ok) if not c])
+
+    def unconfirmed(k, iv, expected, z):
+        indet.append(_indeterminate(
+            k, iv, expected,
+            f"proxy zero at {z.abscissa:.9g} not confirmed by quadrature",
+            "simplicity", abs(_slope(F, z.abscissa)), slope_floor, 0.0))
 
     # -- per-interval expectations
+    scan_no = iter(range(len(scans)))
     for item, k, a, b, grid in instances:
         if grid is None:
             r = abs(F(a))
@@ -541,105 +735,123 @@ def verify_pattern(density, kind, prediction: Prediction,
                     "expected": f"zero at {a:.12g}" + (f" ({item.note})" if item.note else ""),
                     "found": f"|F|={r:.3e}"})
             continue
-        vs = F.values(grid)
-        found = next(zeros_found)
-        records.extend(found)
+        j = next(scan_no)
+        all_found, found, extra = split(j, k)
+        records.extend(all_found)
         n = len(found)
+        iv = [a, b]
+        # confirmed roots alone decide these: two or more fail exactly_one,
+        # one passes at_least_one and fails none_here
+        decided = n > 1 if item.expectation == "exactly_one" else n > 0
+        if extra and not decided:
+            unconfirmed(k, iv, item.expectation.replace("_", " "), extra[0])
+            continue
         if item.expectation == "exactly_one":
             if n == 1:
                 if not found[0].simple:
-                    indet.append({
-                        "k": k, "interval": [a, b],
-                        "expected": "one simple zero",
-                        "found": f"zero at {found[0].abscissa:.9g} with "
-                                 "slope below the simplicity floor"})
+                    z = found[0].abscissa
+                    indet.append(_indeterminate(
+                        k, iv, "one simple zero",
+                        f"zero at {z:.9g} with slope below the simplicity floor",
+                        "simplicity", abs(_slope(F, z)), slope_floor, 0.0))
                 continue
             if n == 0:
-                m = min(abs(v) for v in vs)
+                m = min_abs(j)
                 if m < near:
-                    indet.append({
-                        "k": k, "interval": [a, b],
-                        "expected": "exactly one zero",
-                        "found": f"no crossing; min |F|={m:.3e} grazes zero"})
+                    indet.append(_indeterminate(
+                        k, iv, "exactly one zero",
+                        f"no crossing; min |F|={m:.3e} grazes zero",
+                        "min_abs", m, near, bound))
                 else:
                     violations.append({
-                        "k": k, "interval": [a, b],
+                        "k": k, "interval": iv,
                         "expected": "exactly one zero", "found": "no zero"})
             else:
                 violations.append({
-                    "k": k, "interval": [a, b],
+                    "k": k, "interval": iv,
                     "expected": "exactly one zero", "found": f"{n} zeros"})
         elif item.expectation == "at_least_one":
             if n == 0:
-                m = min(abs(v) for v in vs)
+                m = min_abs(j)
                 if m < near:
-                    indet.append({
-                        "k": k, "interval": [a, b],
-                        "expected": "at least one zero",
-                        "found": f"no crossing; min |F|={m:.3e}"})
+                    indet.append(_indeterminate(
+                        k, iv, "at least one zero",
+                        f"no crossing; min |F|={m:.3e}", "min_abs", m, near,
+                        bound))
                 else:
                     violations.append({
-                        "k": k, "interval": [a, b],
+                        "k": k, "interval": iv,
                         "expected": "at least one zero", "found": "no zero"})
         elif item.expectation == "none_here":
             if n:
                 violations.append({
-                    "k": k, "interval": [a, b],
+                    "k": k, "interval": iv,
                     "expected": "no zeros",
                     "found": f"zero near {found[0].abscissa:.9g}"})
 
-    # -- positivity segment
-    if prediction.positivity is not None:
-        vs = F.values(pos_grid)
-        sgn = -1.0 if claim.sign == "-" else 1.0
-        worst = min(sgn * v for v in vs)
-        wx = pos_grid[int(np.argmin([sgn * v for v in vs]))]
+    # -- positivity segment: the verdict reads the quadrature value at the
+    # argmin, the margin the smaller of it and the scan minimum
+    if pos_grid:
+        wx, worst = pos_low
+        direct = sgn * F(wx)
+        worst = min(worst, direct)
+        iv = [0.0, upper]
         if claim.sign == "+0":
-            if worst < -near:
+            if direct < -near:
                 violations.append({
-                    "k": None, "interval": [0.0, upper],
-                    "expected": "nonnegative",
-                    "found": f"F({wx:.9g})={worst:.3e}"})
+                    "k": None, "interval": iv, "expected": "nonnegative",
+                    "found": f"F({wx:.9g})={direct:.3e}"})
+            elif worst < -near:
+                indet.append(_indeterminate(
+                    None, iv, "nonnegative",
+                    f"min {worst:.3e} below minus the noise floor",
+                    "sign_margin", worst, -near, bound))
         else:
-            if worst <= 0.0:
+            expected = f"strictly {'positive' if sgn > 0 else 'negative'}"
+            if direct <= 0.0:
                 violations.append({
-                    "k": None, "interval": [0.0, upper],
-                    "expected": f"strictly {'positive' if sgn > 0 else 'negative'}",
+                    "k": None, "interval": iv, "expected": expected,
                     "found": f"sign violation near x={wx:.9g}"})
             elif worst < near:
-                indet.append({
-                    "k": None, "interval": [0.0, upper],
-                    "expected": f"strictly {'positive' if sgn > 0 else 'negative'}",
-                    "found": f"min margin {worst:.3e} below noise floor"})
+                indet.append(_indeterminate(
+                    None, iv, expected,
+                    f"min margin {worst:.3e} below noise floor",
+                    "sign_margin", worst, near, bound))
 
     # -- complement must be zero-free
-    for glo, ghi, grid in gaps:
-        found = next(zeros_found)
+    for glo, ghi, _ in gaps:
+        j = next(scan_no)
+        iv = [glo, ghi]
+        _, found, extra = split(j, 0)
         for z in found:
             violations.append({
-                "k": None, "interval": [glo, ghi],
+                "k": None, "interval": iv,
                 "expected": "no zeros in gap",
                 "found": f"zero near {z.abscissa:.9g}"})
-        if not found:
-            m = min(abs(v) for v in F.values(grid))
-            if m < near:
-                indet.append({
-                    "k": None, "interval": [glo, ghi],
-                    "expected": "no zeros in gap",
-                    "found": f"min |F|={m:.3e} grazes zero without crossing"})
+        if found:
+            continue
+        if extra:
+            unconfirmed(None, iv, "no zeros in gap", extra[0])
+            continue
+        m = min_abs(j)
+        if m < near:
+            indet.append(_indeterminate(
+                None, iv, "no zeros in gap",
+                f"min |F|={m:.3e} grazes zero without crossing",
+                "min_abs", m, near, bound))
 
     # -- required sign change
-    if prediction.sign_change_required:
-        vs = F.values(sign_grid)
-        changed = any(vs[i] * vs[i + 1] < 0.0 or vs[i] == 0.0
-                      for i in range(len(vs) - 1))
-        if not changed:
+    if sign_grid:
+        if pair is None or not (F(pair[0]) * F(pair[1]) < 0.0
+                                or F(pair[0]) == 0.0):
             # a finite scan cannot refute an infinitely-many-sign-changes
             # claim, it can only fail to confirm it
-            indet.append({
-                "k": None, "interval": [0.0, horizon],
-                "expected": "at least one sign change",
-                "found": "constant sign on scan grid up to the horizon"})
+            indet.append(_indeterminate(
+                None, [0.0, horizon], "at least one sign change",
+                "constant sign on scan grid up to the horizon" if pair is None
+                else f"proxy sign change near {pair[0]:.9g} not confirmed "
+                     "by quadrature",
+                "sign_change", 0, 1, 0.0))
 
     records.sort(key=lambda z: z.abscissa)
     status = "fail" if violations else ("indeterminate" if indet else "pass")
@@ -647,7 +859,9 @@ def verify_pattern(density, kind, prediction: Prediction,
         passed=(status == "pass"), status=status,
         violations=tuple(violations), indeterminates=tuple(indet),
         records=tuple(records), horizon=horizon,
-        n_evaluations=F.n_evaluations, scale=scale)
+        n_evaluations=F.n_evaluations, scale=scale,
+        proxy_degree=proxy.degree if proxy is not None else 0,
+        proxy_bound=bound)
 
 
 def interlace_check(a, b) -> bool:

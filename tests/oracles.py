@@ -67,3 +67,34 @@ def pfq_partial_sum_exact(a_list, b_list, z: Fraction, n_terms: int) -> Fraction
             den *= b + n
         term = term * num * z / den
     return total
+
+
+def beta_transform_ref(alpha: float, beta: float, x: float,
+                       derivative: bool = False) -> complex:
+    """U(x) + i V(x) for the density t^(beta-1) (1-t)^(alpha-1) / B(alpha, beta),
+    or U'(x) + i V'(x) with derivative set, from Kummer's function:
+    the transform is 1F1(beta; alpha + beta; i x), and its x-derivative
+    i beta / (alpha + beta) 1F1(beta + 1; alpha + beta + 1; i x)."""
+    import mpmath as mp
+    with mp.workdps(30):
+        a, b, z = mp.mpf(alpha), mp.mpf(beta), 1j * mp.mpf(x)
+        if derivative:
+            v = 1j * b / (a + b) * mp.hyp1f1(b + 1, a + b + 1, z)
+        else:
+            v = mp.hyp1f1(b, a + b, z)
+        return complex(v)
+
+
+def kuttner_transform_ref(delta: float, lam: float, x: float) -> complex:
+    """U(x) + i V(x) for (1 - t^delta)^lam by 30-digit tanh-sinh quadrature,
+    split at the half periods of the kernel."""
+    import mpmath as mp
+    with mp.workdps(30):
+        xm = mp.mpf(x)
+        cuts = [mp.mpf(0)] + [mp.pi * j / xm
+                              for j in range(1, int(x / math.pi) + 1)]
+        cuts = [c for c in cuts if c < 1] + [mp.mpf(1)]
+        f = lambda t: (1 - t ** delta) ** lam
+        u = mp.quad(lambda t: f(t) * mp.cos(xm * t), cuts)
+        v = mp.quad(lambda t: f(t) * mp.sin(xm * t), cuts)
+        return complex(u, v)

@@ -16,6 +16,8 @@ from oscilla import (ConsistencyError, ParameterError, closed_form,
                      default_tol, evaluate, evaluate_many, make_density,
                      reflect)
 
+from oracles import beta_transform_ref, kuttner_transform_ref
+
 # (family, params, kind, x) -> value
 _ORACLE = [
     (("beta", (0.5, 2)), "cosine", 1.0, 0.67957829049326415),
@@ -200,3 +202,31 @@ def test_evaluate_many_rejects_bad_abscissas(xs):
     d = make_density("uniform")
     with pytest.raises(ParameterError):
         evaluate_many(d, "cosine", xs)
+
+
+_KIND_PART = {"cosine": (False, "real"), "sine": (False, "imag"),
+              "d_cosine": (True, "real"), "d_sine": (True, "imag")}
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=st.floats(min_value=0.1, max_value=4.0),
+       b=st.floats(min_value=0.1, max_value=4.0),
+       x=st.floats(min_value=0.01, max_value=40.0),
+       kind=st.sampled_from(sorted(_KIND_PART)))
+def test_error_estimate_bounds_true_error_beta(a, b, x, kind):
+    derivative, part = _KIND_PART[kind]
+    ref = getattr(beta_transform_ref(a, b, x, derivative), part)
+    r = evaluate(make_density("beta", (a, b)), kind, x)
+    assert abs(float(r) - ref) <= r.abs_error_estimate, (float(r), ref)
+
+
+@settings(max_examples=15, deadline=None)
+@given(delta=st.floats(min_value=0.5, max_value=4.0),
+       lam=st.floats(min_value=0.2, max_value=3.0),
+       x=st.floats(min_value=0.01, max_value=40.0))
+def test_error_estimate_bounds_true_error_kuttner(delta, lam, x):
+    ref = kuttner_transform_ref(delta, lam, x)
+    d = make_density("kuttner", (delta, lam))
+    for kind, want in (("cosine", ref.real), ("sine", ref.imag)):
+        r = evaluate(d, kind, x)
+        assert abs(float(r) - want) <= r.abs_error_estimate, (kind, float(r), want)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,9 @@ from oscilla import (EndpointSpec, ParameterError, PatternItem,
                      PositivityClaim, Prediction, evaluate, interlace_check,
                      make_density, scan_and_refine, sigma_roots,
                      verify_pattern)
-from oscilla.zeros import _refine_roots, records_to_csv
+from oscilla import zeros
+from oscilla.zeros import (_CachedF, _chebyshev_proxy, _refine_roots,
+                          records_to_csv)
 
 from oracles import bisect, j0_first_root, j0_series, sigma_ref
 
@@ -301,3 +304,71 @@ def test_verdict_stable_when_scan_density_doubles(ab, tag):
         assert len(fine.records) == len(base.records)
         for a, b in zip(base.records, fine.records):
             assert a.abscissa == pytest.approx(b.abscissa, abs=1e-9)
+
+
+@pytest.mark.parametrize("ab,tag", _TAG_CELLS)
+def test_proxy_within_its_bound(ab, tag):
+    # the proxy verify_pattern builds on [0, (k_max + 1) pi] at k_max 10
+    # agrees with quadrature to within its own bound
+    from oscilla import classify_beta_params, evaluate_many
+    assert classify_beta_params(*ab).tag == tag
+    d = make_density("beta", ab)
+    H = 11 * _PI
+    xs = np.linspace(0.0, H, 2001)
+    for kind in ("cosine", "sine"):
+        proxy = _chebyshev_proxy(
+            _CachedF(lambda pts: evaluate_many(d, kind, pts)), H, xs.size)
+        assert proxy is not None
+        direct, _ = evaluate_many(d, kind, xs)
+        gap = np.max(np.abs(np.array(proxy.values(xs)) - direct))
+        assert gap <= proxy.bound, (kind, gap, proxy.bound)
+
+
+def test_direct_grid_fallback_keeps_verdict():
+    # one band of beta(0.5, 2)'s cosine pattern far out: on [0, 60 pi] the
+    # proxy needs degree 256, more points than the 97 of the planned grid,
+    # so the grid goes to quadrature; a denser plan affords the proxy
+    d = make_density("beta", (0.5, 2))
+    pred = Prediction(items=(_one(1, -0.5, 1, 0, k_min=60, k_count=1),),
+                      k_max=60, scan_complement=False)
+    direct = verify_pattern(d, "cosine", pred, per_pi=192)
+    assert direct.proxy_degree == 0 and direct.proxy_bound == 0.0
+    proxied = verify_pattern(d, "cosine", pred, per_pi=512)
+    assert proxied.proxy_degree > 0
+    for rep in (direct, proxied):
+        assert rep.status == "pass", rep.violations
+        assert len(rep.records) == 1 and rep.records[0].simple
+        assert 59.5 * _PI < rep.records[0].abscissa < 60 * _PI
+    assert direct.records[0].abscissa == pytest.approx(
+        proxied.records[0].abscissa, abs=1e-9)
+
+
+@pytest.mark.parametrize("x0,margin", [(1.25 * _PI, "simplicity"),
+                                       (0.25 * _PI, "sign_margin")])
+def test_planted_spurious_proxy_sign_change_is_caught(monkeypatch, x0,
+                                                      margin):
+    # a dip planted in the proxy flips its sign near x0, once in a gap of
+    # the complement scan and once in the positivity segment; quadrature
+    # does not confirm either, so the verdict is indeterminate, never pass
+    # and never fail
+    d = make_density("beta", (0.5, 2))
+    pred = Prediction(items=(_one(1, -0.5, 1, 0),),
+                      positivity=PositivityClaim("+", _PI / 2), k_max=8)
+    assert verify_pattern(d, "cosine", pred).status == "pass"
+    build = zeros._chebyshev_proxy
+
+    def planted(F, H, n_limit):
+        proxy = build(F, H, n_limit)
+        clean = proxy.values
+        v0 = clean([x0])[0]
+        proxy.values = lambda xs: [
+            v - 1.5 * v0 * math.exp(-((x - x0) / 0.1) ** 2)
+            for x, v in zip(xs, clean(xs))]
+        return proxy
+
+    monkeypatch.setattr(zeros, "_chebyshev_proxy", planted)
+    rep = verify_pattern(d, "cosine", pred)
+    assert rep.status == "indeterminate", rep.violations
+    (entry,) = rep.indeterminates
+    assert entry["margin"] == margin
+    assert {"value", "floor", "proxy_bound"} <= set(entry)
