@@ -35,7 +35,7 @@ from .atlas import (
     RegionLabel, AtlasRecord, ShapePredictions, classify_beta_params,
     region_memberships, predict, predict_from_shape, kuttner_predict,
     lommel_predict, lommel_realization, steinerberger_signs,
-    steinerberger_predict, verify_cell, sweep,
+    steinerberger_predict, verify_cell, sweep, iter_sweep,
 )
 
 __version__ = "0.1.0"
@@ -56,6 +56,6 @@ __all__ = [
     "RegionLabel", "AtlasRecord", "ShapePredictions", "classify_beta_params",
     "region_memberships", "predict", "predict_from_shape", "kuttner_predict",
     "lommel_predict", "lommel_realization", "steinerberger_signs",
-    "steinerberger_predict", "verify_cell", "sweep",
+    "steinerberger_predict", "verify_cell", "sweep", "iter_sweep",
     "__version__",
 ]

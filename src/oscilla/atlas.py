@@ -763,6 +763,31 @@ def cross_zero_violations(density: Density, reports: dict,
     return out
 
 
+def verify_predictions(density: Density, predictions: dict,
+                       tol: float | None = None, per_pi: int = 64):
+    """Verify a {kind: Prediction} dict for one density.
+
+    Runs verify_pattern per kind, cosine before sine, and
+    cross_zero_violations when both kinds are present and either asks for
+    no_common_zeros. Returns (reports, cross, status): reports maps kind
+    to its VerificationReport, cross lists the common-zero violations, and
+    status combines them, fail over indeterminate over pass.
+    """
+    reports = {kind: verify_pattern(density, kind, predictions[kind],
+                                    tol=tol, per_pi=per_pi)
+               for kind in ("cosine", "sine") if kind in predictions}
+    cross = []
+    if len(reports) == 2 and any(p.no_common_zeros
+                                 for p in predictions.values()):
+        cross = cross_zero_violations(density, reports, tol=tol)
+    statuses = {rep.status for rep in reports.values()}
+    if cross or "fail" in statuses:
+        return reports, cross, "fail"
+    if "indeterminate" in statuses:
+        return reports, cross, "indeterminate"
+    return reports, cross, "pass"
+
+
 def verify_cell(alpha: float, beta: float, k_max: int = 10,
                 tol: float | None = None, per_pi: int = 64) -> AtlasRecord:
     """Classify one beta cell and verify its predictions numerically."""
@@ -774,32 +799,15 @@ def verify_cell(alpha: float, beta: float, k_max: int = 10,
                            "unclassified")
 
     phi_pred, psi_pred = predict(label, k_max=k_max)
-    d = make_density("beta", (a, b))
-    violations: list[dict] = []
-    indeterminate = False
-    reports = {}
-    for kind, pred in (("cosine", phi_pred), ("sine", psi_pred)):
-        if pred is None:
-            continue
-        rep = verify_pattern(d, kind, pred, tol=tol, per_pi=per_pi)
-        reports[kind] = rep
-        indeterminate = indeterminate or rep.status == "indeterminate"
-        for v in rep.violations:
-            violations.append({**v, "expected": f"{kind}: {v['expected']}"})
-
-    wants_cross = any(p is not None and p.no_common_zeros
-                      for p in (phi_pred, psi_pred))
-    if wants_cross:
-        violations.extend(cross_zero_violations(d, reports, tol=tol))
-
-    if violations:
-        status, passed = "fail", False
-    elif indeterminate:
-        status, passed = "indeterminate", None
-    else:
-        status, passed = "pass", True
-    return AtlasRecord(a, b, label.tag, k_max, passed, tuple(violations),
-                       horizon, status)
+    preds = {kind: p for kind, p in (("cosine", phi_pred), ("sine", psi_pred))
+             if p is not None}
+    reports, cross, status = verify_predictions(
+        make_density("beta", (a, b)), preds, tol=tol, per_pi=per_pi)
+    violations = [{**v, "expected": f"{kind}: {v['expected']}"}
+                  for kind, rep in reports.items() for v in rep.violations]
+    return AtlasRecord(a, b, label.tag, k_max,
+                       {"pass": True, "fail": False}.get(status),
+                       tuple(violations + cross), horizon, status)
 
 
 def _sweep_cell(args) -> AtlasRecord:
@@ -813,12 +821,14 @@ def _sweep_cell(args) -> AtlasRecord:
                            "error", f"{type(e).__name__}: {e}")
 
 
-def sweep(alpha_grid, beta_grid, k_max: int = 10,
-          tol: float | None = None, jobs: int = 1) -> list[AtlasRecord]:
-    """Run verify_cell over the product grid, ordered by (alpha, beta).
+def iter_sweep(alpha_grid, beta_grid, k_max: int = 10,
+               tol: float | None = None, jobs: int = 1):
+    """Yield verify_cell records over the product grid, ordered by
+    (alpha, beta), each as soon as it and every cell before it is done.
 
-    Per-cell failures are captured in the records; jobs > 1 distributes
-    cells over worker processes with the same deterministic ordering.
+    The grid is checked on the call, before any cell runs. Per-cell
+    failures are captured in the records; jobs > 1 distributes cells over
+    worker processes with the same deterministic ordering.
     """
     alphas = [float(a) for a in alpha_grid]
     betas = [float(b) for b in beta_grid]
@@ -828,7 +838,20 @@ def sweep(alpha_grid, beta_grid, k_max: int = 10,
                                  f"got {v!r}")
     cells = sorted((a, b) for a in alphas for b in betas)
     args = [(a, b, int(k_max), tol) for a, b in cells]
+    return _run_cells(args, jobs)
+
+
+def _run_cells(args, jobs):
     if jobs is not None and jobs > 1:
+        # 16 cells per task: one cell per task spends about a fifth of a
+        # 40x40 sweep on inter-process round trips (2 workers)
         with multiprocessing.Pool(int(jobs)) as pool:
-            return pool.map(_sweep_cell, args)
-    return [_sweep_cell(t) for t in args]
+            yield from pool.imap(_sweep_cell, args, chunksize=16)
+    else:
+        yield from map(_sweep_cell, args)
+
+
+def sweep(alpha_grid, beta_grid, k_max: int = 10,
+          tol: float | None = None, jobs: int = 1) -> list[AtlasRecord]:
+    """iter_sweep collected into a list."""
+    return list(iter_sweep(alpha_grid, beta_grid, k_max, tol, jobs))

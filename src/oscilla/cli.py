@@ -15,18 +15,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import multiprocessing
 import os
 import sys
 
-from .atlas import (REGION_TAGS, RegionLabel, _sweep_cell,
-                    classify_beta_params, cross_zero_violations,
-                    kuttner_predict, predict, predict_from_shape,
-                    region_memberships, steinerberger_signs)
+from .atlas import (REGION_TAGS, RegionLabel, classify_beta_params,
+                    iter_sweep, kuttner_predict, predict, predict_from_shape,
+                    region_memberships, steinerberger_signs,
+                    verify_predictions)
 from .density import parse_density
 from .errors import OscillaError, ParameterError
 from .transform import TransformKind, evaluate, evaluate_many
-from .zeros import _scan_and_refine, records_to_csv, sigma_roots, verify_pattern
+from .zeros import _scan_and_refine, records_to_csv, sigma_roots
 
 _PI = math.pi
 _KIND_NAMES = tuple(k.value for k in TransformKind)
@@ -175,7 +174,7 @@ def _kind_summary(rep) -> dict:
     }
 
 
-def _verify_predictions(ns, d):
+def _resolve_predictions(ns, d):
     """Resolve --prediction/--kind into {kind: Prediction} plus a label."""
     name = ns.prediction
     _, family, params, _ = _parse_density(ns.density)
@@ -214,7 +213,7 @@ def _cmd_verify(ns, out) -> int:
     d, _, _, canon = _parse_density(ns.density)
     if ns.kmax < 1:
         raise _UsageError(f"--kmax must be >= 1, got {ns.kmax}")
-    tag, preds = _verify_predictions(ns, d)
+    tag, preds = _resolve_predictions(ns, d)
     doc = {"density": canon, "prediction": ns.prediction, "label": tag,
            "k_max": ns.kmax}
     if not preds:
@@ -225,25 +224,10 @@ def _cmd_verify(ns, out) -> int:
         out.write(json.dumps(doc) + "\n")
         return 3
 
-    reports = {}
-    kinds_doc = {}
-    for kind in ("cosine", "sine"):
-        if kind not in preds:
-            continue
-        rep = verify_pattern(d, kind, preds[kind], tol=ns.tol)
-        reports[kind] = rep
-        kinds_doc[kind] = _kind_summary(rep)
-
-    cross = []
-    if len(reports) == 2 and any(p.no_common_zeros for p in preds.values()):
-        cross = cross_zero_violations(d, reports, tol=ns.tol)
-
-    failed = cross or any(r.status == "fail" for r in reports.values())
-    indet = any(r.status == "indeterminate" for r in reports.values())
-    status = "fail" if failed else ("indeterminate" if indet else "pass")
+    reports, cross, status = verify_predictions(d, preds, tol=ns.tol)
     doc["status"] = status
     doc["pass"] = None if status == "indeterminate" else status == "pass"
-    doc["kinds"] = kinds_doc
+    doc["kinds"] = {kind: _kind_summary(rep) for kind, rep in reports.items()}
     if cross:
         doc["common_zero_violations"] = cross
     out.write(json.dumps(doc) + "\n")
@@ -258,20 +242,14 @@ def _cmd_sweep(ns, out) -> int:
             raise _UsageError("grid values must be positive")
     if ns.kmax < 1:
         raise _UsageError(f"--kmax must be >= 1, got {ns.kmax}")
-    jobs = ns.jobs if ns.jobs and ns.jobs > 0 else 1
-    cells = sorted((a, b) for a in alphas for b in betas)
-    args = [(a, b, ns.kmax, ns.tol) for a, b in cells]
+    records = iter_sweep(alphas, betas, k_max=ns.kmax, tol=ns.tol,
+                         jobs=ns.jobs)
     sink = open(ns.out, "w", encoding="utf-8") if ns.out else out
     try:
         # stream records as they finish so an interrupted sweep still
         # leaves usable JSON lines behind
-        if jobs > 1:
-            with multiprocessing.Pool(jobs) as pool:
-                for rec in pool.imap(_sweep_cell, args):
-                    sink.write(rec.to_json() + "\n")
-        else:
-            for a in args:
-                sink.write(_sweep_cell(a).to_json() + "\n")
+        for rec in records:
+            sink.write(rec.to_json() + "\n")
     finally:
         if ns.out:
             sink.close()

@@ -7,11 +7,12 @@ The beta-density transforms have entire-function representations
     V(x) = (b x/(a+b)) * 2F3((b+1)/2, (b+2)/2; 3/2, (a+b+1)/2, (a+b+2)/2; -x^2/4)
 
 for beta(a, b); beta_series evaluates those. hyp_pfq sums the defining
-series by term recurrence with compensated accumulation. The alternating
-terms grow like e^(2 sqrt|z|) before decaying, so float64 summation loses
-roughly 2*sqrt(|z|)/ln(10) digits; beyond |z| = 36 the accumulation runs in
-scaled-precision arithmetic instead, and beyond |z| = 400 (x = 40) the series
-regime is refused outright in favor of quadrature.
+series by term recurrence in one loop over two number types. The
+alternating terms grow like e^(2 sqrt|z|) before decaying, so float64
+summation loses roughly 2*sqrt(|z|)/ln(10) digits: up to |z| = 36 the loop
+runs in float64 with compensated accumulation, beyond it in mpmath numbers
+at a working precision scaled to the cancellation, and beyond |z| = 400
+(x = 40) the series regime is refused outright in favor of quadrature.
 """
 from __future__ import annotations
 
@@ -56,16 +57,32 @@ class HypSpec:
                 raise ParameterError(f"denominator parameters must be positive, got {b!r}")
 
 
-def _sum_float64(num, den, z, tol):
-    acc = CompensatedSum()
-    acc.add(1.0)
-    term = 1.0
-    abs_sum = 1.0
-    max_abs = 1.0
+class _Adder:
+    """Plain running sum at the ambient mpmath working precision."""
+
+    __slots__ = ("total",)
+
+    def __init__(self):
+        self.total = 0
+
+    def add(self, x) -> None:
+        self.total += x
+
+
+def _sum_series(num, den, z, tol, acc, floor):
+    """Sum pFq(num; den; z) term by term into acc.
+
+    num, den, z and floor share one number type: float64 with a
+    CompensatedSum, or mpf with an _Adder under mp.workdps. Stops after
+    _CONSECUTIVE_SMALL consecutive decreasing terms below
+    tol * max(|partial sum|, floor); returns (total, last |term|,
+    sum of |term|, terms used).
+    """
+    acc.add(1)
+    term = abs_sum = prev_abs = 1
     small_run = 0
-    prev_abs = 1.0
     for n in range(_MAX_TERMS):
-        ratio = z / (n + 1.0)
+        ratio = z / (n + 1)
         for a in num:
             ratio *= a + n
         for b in den:
@@ -74,57 +91,16 @@ def _sum_float64(num, den, z, tol):
         acc.add(term)
         t_abs = abs(term)
         abs_sum += t_abs
-        if t_abs > max_abs:
-            max_abs = t_abs
-        s_abs = abs(acc.total)
-        if t_abs < tol * max(s_abs, 1e-300) and t_abs < prev_abs:
+        if t_abs < tol * max(abs(acc.total), floor) and t_abs < prev_abs:
             small_run += 1
             if small_run >= _CONSECUTIVE_SMALL:
-                value = acc.total
-                est = t_abs + 1e-16 * abs_sum
-                return value, est, n + 1
+                return acc.total, t_abs, abs_sum, n + 1
         else:
             small_run = 0
         prev_abs = t_abs
     raise SeriesCancellationError(
-        f"series did not meet tol={tol:g} within {_MAX_TERMS} terms (|z|={abs(z):g})")
-
-
-def _sum_mp(num, den, z, tol):
-    # working precision sized to the cancellation: max term ~ e^(2 sqrt|z|).
-    # every factor, parameter sums included, must be formed at working
-    # precision: float64 rounding inside a term is amplified by the full
-    # cancellation ratio
-    x_equiv = 2.0 * math.sqrt(abs(float(z)))
-    dps = 20 + int(0.46 * x_equiv)
-    with mp.workdps(dps):
-        zz = mp.mpf(z)
-        num_mp = [mp.mpf(a) for a in num]
-        den_mp = [mp.mpf(b) for b in den]
-        s = mp.mpf(1)
-        term = mp.mpf(1)
-        small_run = 0
-        prev_abs = mp.mpf(1)
-        for n in range(_MAX_TERMS):
-            ratio = zz / (n + 1)
-            for a in num_mp:
-                ratio *= a + n
-            for b in den_mp:
-                ratio /= b + n
-            term *= ratio
-            s += term
-            t_abs = abs(term)
-            if t_abs < tol * max(abs(s), mp.mpf("1e-300")) and t_abs < prev_abs:
-                small_run += 1
-                if small_run >= _CONSECUTIVE_SMALL:
-                    value = float(s)
-                    est = float(t_abs) + 1e-16 * (1.0 + abs(value))
-                    return value, est, n + 1
-            else:
-                small_run = 0
-            prev_abs = t_abs
-    raise SeriesCancellationError(
-        f"series did not meet tol={tol:g} within {_MAX_TERMS} terms (|z|={abs(z):g})")
+        f"series did not meet tol={tol:g} within {_MAX_TERMS} terms "
+        f"(|z|={abs(float(z)):g})")
 
 
 def hyp_pfq(spec: HypSpec, z, tol: float | None = None) -> EvalResult:
@@ -155,10 +131,21 @@ def hyp_pfq(spec: HypSpec, z, tol: float | None = None) -> EvalResult:
     if zf == 0.0:
         return EvalResult(1.0, 0.0, "series")
     if abs(zf) <= _F64_ARG_LIMIT:
-        v, e, _ = _sum_float64(spec.numerator, spec.denominator, zf, tol)
-    else:
-        v, e, _ = _sum_mp(spec.numerator, spec.denominator, z, tol)
-    return EvalResult(v, e, "series")
+        v, t_abs, abs_sum, _ = _sum_series(spec.numerator, spec.denominator,
+                                           zf, tol, CompensatedSum(), 1e-300)
+        return EvalResult(v, t_abs + 1e-16 * abs_sum, "series")
+    # working precision sized to the cancellation: max term ~ e^(2 sqrt|z|).
+    # every factor, parameter sums included, must be formed at working
+    # precision: float64 rounding inside a term is amplified by the full
+    # cancellation ratio
+    x_equiv = 2.0 * math.sqrt(abs(zf))
+    with mp.workdps(20 + int(0.46 * x_equiv)):
+        s, t_abs, _, _ = _sum_series(
+            [mp.mpf(a) for a in spec.numerator],
+            [mp.mpf(b) for b in spec.denominator], mp.mpf(z), tol, _Adder(),
+            mp.mpf("1e-300"))
+    v = float(s)
+    return EvalResult(v, float(t_abs) + 1e-16 * (1.0 + abs(v)), "series")
 
 
 def series_argument(x: float):

@@ -116,40 +116,25 @@ def wronskian_series(coeffs: LatticeCoefficients, z: float) -> float:
     z = float(z)
     if not math.isfinite(z):
         raise ParameterError(f"z must be finite, got {z!r}")
-    exp = coeffs.expansion
+    pe1 = coeffs.expansion == "pe1"
+    # term = pre (-1)^k c w [num trig(z) / (z^2 - a^2)]^2 with, per
+    # expansion, pe1: trig sin, pre 4/z, num a, w 1; pe2: cos, 4z, 1, a;
+    # pe3: sin, 4z, 1, a. Near z = +-a, trig(z)/(z -+ a) is replaced by its
+    # limit, +-1 (taken as (-1)^k; q is squared, so the sign is immaterial)
+    trig = math.cos(z) if coeffs.expansion == "pe2" else math.sin(z)
+    pre = 4.0 / z if pe1 else 4.0 * z
     acc = CompensatedSum()
-    sz = math.sin(z)
-    cz = math.cos(z)
     sign = 1.0
     for c, a in zip(coeffs.coefficients, coeffs.lattice):
         sign = -sign
-        if exp == "pe1":
-            # term = (4/z) (-1)^k c [a sin z / (z^2 - a^2)]^2
-            if abs(z - a) < _NEAR_LIMIT:
-                r = sign * a / (z + a)          # sin z/(z-a) -> cos a = (-1)^k
-            elif abs(z + a) < _NEAR_LIMIT:
-                r = sign * a / (z - a)
-            else:
-                r = a * sz / ((z - a) * (z + a))
-            acc.add((4.0 / z) * sign * c * r * r)
-        elif exp == "pe2":
-            # term = 4 z (-1)^k c a [cos z / (z^2 - a^2)]^2
-            if abs(z - a) < _NEAR_LIMIT:
-                q = sign / (z + a)              # cos z/(z-a) -> -sin a = (-1)^k
-            elif abs(z + a) < _NEAR_LIMIT:
-                q = sign / (z - a)
-            else:
-                q = cz / ((z - a) * (z + a))
-            acc.add(4.0 * z * sign * c * a * q * q)
+        num, w = (a, 1.0) if pe1 else (1.0, a)
+        if abs(z - a) < _NEAR_LIMIT:
+            q = sign * num / (z + a)
+        elif abs(z + a) < _NEAR_LIMIT:
+            q = sign * num / (z - a)
         else:
-            # pe3: term = 4 z (-1)^k c a [sin z / (z^2 - a^2)]^2
-            if abs(z - a) < _NEAR_LIMIT:
-                q = sign / (z + a)              # sin z/(z-a) -> cos a = (-1)^k
-            elif abs(z + a) < _NEAR_LIMIT:
-                q = sign / (z - a)
-            else:
-                q = sz / ((z - a) * (z + a))
-            acc.add(4.0 * z * sign * c * a * q * q)
+            q = num * trig / ((z - a) * (z + a))
+        acc.add(pre * sign * c * w * q * q)
     return acc.total
 
 

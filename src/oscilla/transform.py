@@ -272,23 +272,27 @@ def closed_form(d: Density, kind, x: float) -> EvalResult | None:
 # ---------------------------------------------------------------------------
 
 
+# non-reflected kind -> (weight carries a factor t, kernel, sign); the
+# derivatives differentiate under the integral, U'(x) = -int t f sin(xt)
+# and V'(x) = int t f cos(xt), the factor t removing a singularity at 0
+_QUAD_TABLE = {
+    TransformKind.COSINE: (False, "cos", 1.0),
+    TransformKind.SINE: (False, "sin", 1.0),
+    TransformKind.D_COSINE: (True, "sin", -1.0),
+    TransformKind.D_SINE: (True, "cos", 1.0),
+}
+
+
 def _quad(d: Density, kind: TransformKind, x, tol: float, integral):
     """One quadrature pass for a non-reflected kind. x is one abscissa and
     integral is oscillatory_integral, or x is an array of them and
     integral is oscillatory_integrals."""
-    opts = dict(singular_at_0=d.singular_at_0, singular_at_1=d.singular_at_1,
-                breakpoints=d.breakpoints, tol=tol)
-    if kind == TransformKind.COSINE:
-        return integral(d._eval2, x, "cos", **opts)
-    if kind == TransformKind.SINE:
-        return integral(d._eval2, x, "sin", **opts)
-    w2 = lambda t, omt: t * d._eval2(t, omt)
-    if kind == TransformKind.D_COSINE:
-        # U'(x) = -int t f sin(xt); the factor t removes the singularity at 0
-        v, e = integral(w2, x, "sin", **opts)
-        return -v, e
-    # d_sine
-    return integral(w2, x, "cos", **opts)
+    t_weighted, kernel, sign = _QUAD_TABLE[kind]
+    w2 = (lambda t, omt: t * d._eval2(t, omt)) if t_weighted else d._eval2
+    v, e = integral(w2, x, kernel, singular_at_0=d.singular_at_0,
+                    singular_at_1=d.singular_at_1,
+                    breakpoints=d.breakpoints, tol=tol)
+    return sign * v, e
 
 
 def _integrate(d: Density, kind: TransformKind, x, tol: float, integral):

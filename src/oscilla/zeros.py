@@ -807,8 +807,10 @@ def verify_pattern(density, kind, prediction: Prediction,
                     f"min {worst:.3e} below minus the noise floor",
                     "sign_margin", worst, -near, bound))
         else:
+            # a value inside the noise floor cannot refute the claim,
+            # whatever its sign: -near < direct <= 0 falls to the margin
             expected = f"strictly {'positive' if sgn > 0 else 'negative'}"
-            if direct <= 0.0:
+            if direct <= -near:
                 violations.append({
                     "k": None, "interval": iv, "expected": expected,
                     "found": f"sign violation near x={wx:.9g}"})

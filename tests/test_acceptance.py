@@ -6,6 +6,7 @@ quadrature vs. series), and asserts its runtime budget.  The report lines
 bypass pytest capture so they appear in the terminal output.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -316,3 +317,8 @@ def test_criterion_12_atlas_sweep(capfd):
     assert not crashes
     assert not definite_fails, definite_fails[:5]
     assert elapsed < 600.0
+    # byte-identity gate for refactors: pass and unclassified lines carry
+    # only labels, statuses and the horizon, so the hash is portable
+    text = "".join(r.to_json() + "\n" for r in records)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "71fb3fc290b00baadca40f8dcf5c25f027c9e4f54405b3bdefb53e8c786979e7")

@@ -139,6 +139,18 @@ def test_sweep_jobs_deterministic(tmp_path):
     assert a.read_text() == b.read_text()
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_writes_the_library_records(jobs):
+    # the CLI and atlas.sweep share one driver, atlas.iter_sweep
+    from oscilla import atlas
+    rc, out, _ = run_cli("sweep", "--alpha", "0.5:2.5:1", "--beta",
+                         "0.5:3.5:1.5", "--kmax", "4", "--jobs", str(jobs))
+    assert rc == 0
+    want = [r.to_json() for r in atlas.sweep([0.5, 1.5, 2.5],
+                                             [0.5, 2.0, 3.5], k_max=4)]
+    assert out.splitlines() == want
+
+
 def test_repeat_runs_are_byte_identical():
     first = run_cli("verify", "--density", "beta:0.5,2", "--kmax", "4")
     second = run_cli("verify", "--density", "beta:0.5,2", "--kmax", "4")
@@ -154,6 +166,7 @@ def test_repeat_runs_are_byte_identical():
     ("verify", "--density", "beta:0.5,2", "--prediction", "Nope"),
     ("sweep", "--alpha", "1:2", "--beta", "1:2:1"),
     ("frobnicate",),
+    ("sweep", "--alpha", "0:1:0.5", "--beta", "1:2:1"),  # grid value 0
 ])
 def test_usage_errors(args):
     rc, out, err = run_cli(*args)

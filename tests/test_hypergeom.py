@@ -10,27 +10,37 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from oscilla import (HypSpec, ParameterError, SeriesRegimeError, beta_series,
-                     evaluate, hyp_pfq, make_density)
-from oscilla.hypergeom import SERIES_X_LIMIT
+                     default_tol, evaluate, hyp_pfq, make_density)
+from oscilla.hypergeom import _F64_ARG_LIMIT, SERIES_X_LIMIT
 
 from oracles import pfq_partial_sum_exact
 
 _F12_HALF = HypSpec((0.5,), (1.5, 1.25))
 
-# 1F2(1/2; 3/2, 5/4; z) frozen references
+# 1F2(1/2; 3/2, 5/4; z) frozen references; -35.9 and -36.1 sit just inside
+# and just outside _F64_ARG_LIMIT, so the one summation loop runs once in
+# float64 and once in widened precision
 _FROZEN = [
     (-4.0, 0.36254078750928834),
     (-25.0, 0.14067006644801819),
+    (-35.9, 0.09871545800370617),
+    (-36.1, 0.09837487118305453),
     (-390.0, 0.033971140576276737),
 ]
 
 
 @pytest.mark.parametrize("z,expected", _FROZEN)
 def test_1f2_against_frozen(z, expected):
-    assert float(hyp_pfq(_F12_HALF, z)) == pytest.approx(expected, abs=1e-12)
+    assert 35.9 < _F64_ARG_LIMIT < 36.1  # the two middle cases straddle it
+    r = hyp_pfq(_F12_HALF, z)
+    assert float(r) == pytest.approx(expected, abs=1e-12)
+    with mp.workdps(30):
+        want = float(mp.hyper([0.5], [1.5, 1.25], z))
+    assert abs(float(r) - want) <= r.abs_error_estimate + default_tol()
 
 
 def test_frozen_value_regenerates_from_exact_oracle():

@@ -372,3 +372,31 @@ def test_planted_spurious_proxy_sign_change_is_caught(monkeypatch, x0,
     (entry,) = rep.indeterminates
     assert entry["margin"] == margin
     assert {"value", "floor", "proxy_bound"} <= set(entry)
+
+
+@pytest.mark.parametrize("shift,status", [(1e-17, "indeterminate"),
+                                          (1e-6, "fail")])
+def test_strict_sign_claim_not_decided_by_rounding(monkeypatch, shift,
+                                                   status):
+    # U(pi) = 0 by symmetry for beta(0.3, 0.3), so a forced mono_C claim
+    # that U > 0 on (0, pi] reads a value of rounding size there: lowered
+    # by 1e-17 it stays inside the noise floor and cannot refute the claim,
+    # lowered by 1e-6 it does
+    from oscilla.atlas import RegionLabel, predict, region_memberships
+    d = make_density("beta", (0.3, 0.3))
+    label = RegionLabel("mono_C", 0.3, 0.3, provenance="forced",
+                        memberships=region_memberships(0.3, 0.3))
+    phi, _ = predict(label, k_max=10)
+    assert phi.positivity == PositivityClaim("+", _PI)
+    many = zeros.evaluate_many
+
+    def lowered(*args, **kwargs):
+        values, errors = many(*args, **kwargs)
+        return values - shift, errors
+
+    monkeypatch.setattr(zeros, "evaluate_many", lowered)
+    rep = verify_pattern(d, "cosine", phi)
+    assert rep.status == status, (rep.violations, rep.indeterminates)
+    if status == "indeterminate":
+        (entry,) = rep.indeterminates
+        assert entry["margin"] == "sign_margin" and entry["value"] <= 0.0
