@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from .density import Density, ShapeReport, make_density
 from .errors import ParameterError
 from .hypergeom import SERIES_X_LIMIT, HypSpec, hyp_pfq, series_argument
-from .quadrature import oscillatory_integral
+from .quadrature import oscillatory_integrals
 from .transform import evaluate_many, resolve_tol
 # evaluate is no longer called here (cross_zero_violations batches through
 # evaluate_many); it stays importable as atlas.evaluate because the
@@ -654,21 +654,17 @@ def steinerberger_signs(beta: float, k_max: int,
         raise ParameterError(f"k_max must be >= 1, got {k_max!r}")
     t = resolve_tol(tol)
     spec = HypSpec(((1.0 + b) / 2.0,), (1.5, (3.0 + b) / 2.0))
-    out = []
-    for k in range(1, n + 1):
-        x = (k - 0.5) * _PI
-        if x <= SERIES_X_LIMIT:
-            val = float(hyp_pfq(spec, series_argument(x), tol=tol))
-        else:
-            v, _err = oscillatory_integral(
-                lambda tt, omt: tt ** (b - 1.0), x, "sin",
-                singular_at_0=b < 1.0, tol=t)
-            val = (1.0 + b) / x * v
-        if abs(val) < 10.0 * t:
-            out.append(0)
-        else:
-            out.append(1 if val > 0.0 else -1)
-    return tuple(out)
+    xs = [(k - 0.5) * _PI for k in range(1, n + 1)]
+    near = [x for x in xs if x <= SERIES_X_LIMIT]
+    vals = [float(hyp_pfq(spec, series_argument(x), tol=tol)) for x in near]
+    far = xs[len(near):]
+    if far:
+        v, _err = oscillatory_integrals(
+            lambda tt, omt: tt ** (b - 1.0), far, "sin",
+            singular_at_0=b < 1.0, tol=t)
+        vals += [(1.0 + b) / x * float(vx) for x, vx in zip(far, v)]
+    return tuple(0 if abs(val) < 10.0 * t else (1 if val > 0.0 else -1)
+                 for val in vals)
 
 
 def steinerberger_predict(beta: float) -> str:

@@ -117,6 +117,9 @@ def wronskian_series(coeffs: LatticeCoefficients, z: float) -> float:
     if not math.isfinite(z):
         raise ParameterError(f"z must be finite, got {z!r}")
     pe1 = coeffs.expansion == "pe1"
+    if pe1 and z == 0.0:
+        # W[U, sin z / z](0) = U'(0) = 0; the prefactor 4/z has no value there
+        return 0.0
     # term = pre (-1)^k c w [num trig(z) / (z^2 - a^2)]^2 with, per
     # expansion, pe1: trig sin, pre 4/z, num a, w 1; pe2: cos, 4z, 1, a;
     # pe3: sin, 4z, 1, a. Near z = +-a, trig(z)/(z -+ a) is replaced by its

@@ -98,3 +98,36 @@ def kuttner_transform_ref(delta: float, lam: float, x: float) -> complex:
         u = mp.quad(lambda t: f(t) * mp.cos(xm * t), cuts)
         v = mp.quad(lambda t: f(t) * mp.sin(xm * t), cuts)
         return complex(u, v)
+
+
+def pfq_ref(a_list, b_list, z, dps: int = 50) -> float:
+    """pFq(a_list; b_list; z) by mpmath.hyper at dps digits; the parameters
+    and z (floats or mpf) enter exactly."""
+    import mpmath as mp
+    with mp.workdps(dps):
+        return float(mp.hyper([mp.mpf(a) for a in a_list],
+                              [mp.mpf(b) for b in b_list], z))
+
+
+def beta_series_ref(alpha: float, beta: float, kind: str, x: float) -> float:
+    """U(x) (kind 'cosine') or V(x) ('sine') of beta(alpha, beta) from its
+    2F3 representation, summed by 50-digit mpmath.hyper at -x^2/4 formed
+    exactly.
+
+    The parameters, and the sine prefactor b x / (a + b), are the doubles
+    float64 arithmetic gives, as beta_series forms them: this checks the
+    summation. Forming them exactly instead moves U by up to a few 1e-16
+    (each parameter is off by up to half an ulp), more than beta_series's
+    estimate allows for at some points, e.g. beta(0.05, 1.7831766493176908)
+    cosine at x = 26.78125."""
+    import mpmath as mp
+    s = alpha + beta
+    if kind == "cosine":
+        num, den, pref = (0.5 * beta, 0.5 * (beta + 1.0)), \
+            (0.5, 0.5 * s, 0.5 * (s + 1.0)), 1.0
+    else:
+        num, den, pref = (0.5 * (beta + 1.0), 0.5 * (beta + 2.0)), \
+            (1.5, 0.5 * (s + 1.0), 0.5 * (s + 2.0)), beta * x / s
+    with mp.workdps(50):
+        z = -mp.mpf(x) ** 2 / 4
+    return pref * pfq_ref(num, den, z)

@@ -12,18 +12,21 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oscilla import (HypSpec, ParameterError, SeriesRegimeError, beta_series,
-                     default_tol, evaluate, hyp_pfq, make_density)
-from oscilla.hypergeom import _F64_ARG_LIMIT, SERIES_X_LIMIT
+from oscilla import (HypSpec, ParameterError, SeriesCancellationError,
+                     SeriesRegimeError, beta_series, default_tol, evaluate,
+                     hyp_pfq, make_density)
+from oscilla.hypergeom import _F64_ARG_LIMIT, SERIES_X_LIMIT, _dyadic
 
-from oracles import pfq_partial_sum_exact
+from oracles import beta_series_ref, pfq_partial_sum_exact, pfq_ref
 
 _F12_HALF = HypSpec((0.5,), (1.5, 1.25))
 
 # 1F2(1/2; 3/2, 5/4; z) frozen references; -35.9 and -36.1 sit just inside
-# and just outside _F64_ARG_LIMIT, so the one summation loop runs once in
-# float64 and once in widened precision
+# and just outside _F64_ARG_LIMIT, so they are summed once in float64 and
+# once in fixed point
 _FROZEN = [
     (-4.0, 0.36254078750928834),
     (-25.0, 0.14067006644801819),
@@ -112,3 +115,81 @@ def test_beta_series_x_limit():
     assert SERIES_X_LIMIT == 40.0
     with pytest.raises(SeriesRegimeError):
         beta_series(0.5, 2, "cosine", SERIES_X_LIMIT + 1)
+
+
+# 1F1 and 0F0 terms grow like e^|z|, much faster than the e^(2 sqrt|z|) of
+# the beta-density 2F3 series, so their fixed-point scale comes from the
+# largest term rather than from the 2F3 digit rule
+_FAST_GROWTH = [
+    ((1.0,), (1.5,), -60.0),
+    ((1.0,), (1.5,), -100.0),
+    ((), (), -40.0),
+]
+
+
+@pytest.mark.parametrize("num,den,z", _FAST_GROWTH)
+def test_fast_growing_terms_within_estimate(num, den, z):
+    r = hyp_pfq(HypSpec(num, den), z)
+    assert abs(float(r) - pfq_ref(num, den, z, dps=80)) <= r.abs_error_estimate
+    assert r.abs_error_estimate < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.floats(0.05, 6.0), beta=st.floats(0.05, 6.0),
+       kind=st.sampled_from(["cosine", "sine"]),
+       x=st.floats(12.0, SERIES_X_LIMIT, exclude_min=True))
+def test_fixed_point_beta_series_within_estimate(alpha, beta, kind, x):
+    r = beta_series(alpha, beta, kind, x)
+    assert abs(float(r) - beta_series_ref(alpha, beta, kind, x)) \
+        <= r.abs_error_estimate
+
+
+def test_dyadic_conversion_is_exact():
+    assert _dyadic(5e-324) == (1, 1074)
+    z = math.nextafter(-36.0, -math.inf)
+    m, k = _dyadic(z)
+    assert Fraction(m, 2 ** k) == Fraction(z)
+    with mp.workdps(60):
+        z60 = -(150 + mp.pi / 7)
+    m, k = _dyadic(z60)
+    assert k > 150  # more fraction bits than a float holds
+    with mp.workdps(120):
+        assert mp.mpf(m) / mp.mpf(2) ** k == z60
+
+
+def test_subnormal_parameter():
+    spec = HypSpec((5e-324, 1.0), (0.5, 1.5, 2.0))
+    r = hyp_pfq(spec, -100.0)
+    assert float(r) == 1.0
+    assert abs(float(r) - pfq_ref(spec.numerator, spec.denominator, -100.0)) \
+        <= r.abs_error_estimate
+    # here the first term is already below the fixed-point unit
+    assert float(hyp_pfq(HypSpec((5e-324,), (1e6, 1.0)), -100.0)) == 1.0
+    # as a denominator it lifts the terms past the float range (~1e325)
+    assert float(hyp_pfq(HypSpec((1.0,), (5e-324, 1.5)), -100.0)) == math.inf
+
+
+def test_sixty_digit_argument():
+    with mp.workdps(60):
+        z = -(150 + mp.pi / 7)
+    r = hyp_pfq(_F12_HALF, z)
+    want = pfq_ref(_F12_HALF.numerator, _F12_HALF.denominator, z, dps=80)
+    assert abs(float(r) - want) <= r.abs_error_estimate
+
+
+def test_one_ulp_either_side_of_the_float64_limit():
+    assert _F64_ARG_LIMIT == 36.0
+    inside = math.nextafter(-36.0, 0.0)        # float64 loop
+    outside = math.nextafter(-36.0, -math.inf)  # fixed-point loop
+    r_in, r_out = hyp_pfq(_F12_HALF, inside), hyp_pfq(_F12_HALF, outside)
+    for z, r in ((inside, r_in), (outside, r_out)):
+        want = pfq_ref(_F12_HALF.numerator, _F12_HALF.denominator, z)
+        assert abs(float(r) - want) <= r.abs_error_estimate
+    assert abs(float(r_in) - float(r_out)) <= (
+        r_in.abs_error_estimate + r_out.abs_error_estimate)
+
+
+def test_runaway_terms_refused():
+    # terms rising by ~2^295000 would need integers of that size
+    with pytest.raises(SeriesCancellationError):
+        hyp_pfq(HypSpec((1e300,), (1.0, 1.0)), -100.0)

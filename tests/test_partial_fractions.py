@@ -115,6 +115,16 @@ def test_wronskian_series_finite_at_lattice_points(half2):
             wronskian_direct(half2, "u_sinc", x), abs=1e-3)
 
 
+@pytest.mark.parametrize("expansion", ["pe1", "pe2", "pe3"])
+@pytest.mark.parametrize("z", [0.0, -0.0])
+def test_wronskian_series_at_zero(half2, expansion, z):
+    # every Wronskian vanishes at 0 (U'(0) = V(0) = 0); pe1's 4/z prefactor
+    # is taken by its limit, so the series is continuous there
+    c = sample_lattice(half2, expansion, 50)
+    assert wronskian_series(c, z) == 0.0
+    assert abs(wronskian_series(c, 1e-9)) < 1e-6
+
+
 def test_wronskian_direct_validation(half2):
     with pytest.raises(ParameterError):
         wronskian_direct(half2, "bogus", 1.0)
